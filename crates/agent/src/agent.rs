@@ -76,6 +76,11 @@ impl Default for AgentConfig {
 const TIMER_HB: u64 = 1;
 const TIMER_SWEEP: u64 = 2;
 const TIMER_PARKED: u64 = 3;
+const TIMER_RESOLVE: u64 = 4;
+/// Re-resolve period while no master is named yet. Agents that start before
+/// the election would otherwise first report at their heartbeat, and jobs
+/// arriving in between would find no capacity.
+const RESOLVE_RETRY_MS: u64 = 50;
 const GRACE_BASE: u64 = 1 << 32;
 /// Heartbeats between periodic envelope refreshes from the master (repairs
 /// any drift from lost CapacityNotify messages).
@@ -732,6 +737,8 @@ impl Actor<Msg> for FuxiAgent {
                     total: self.total.clone(),
                 },
             );
+        } else {
+            ctx.timer(SimDuration::from_millis(RESOLVE_RETRY_MS), TIMER_RESOLVE);
         }
         ctx.timer(self.cfg.heartbeat_interval, TIMER_HB);
         ctx.timer(self.cfg.sweep_interval, TIMER_SWEEP);
@@ -866,6 +873,12 @@ impl Actor<Msg> for FuxiAgent {
                     self.send_allocation_report(ctx);
                 }
                 ctx.timer(self.cfg.heartbeat_interval, TIMER_HB);
+            }
+            TIMER_RESOLVE => {
+                self.resolve_master(ctx);
+                if self.fm.is_none() {
+                    ctx.timer(SimDuration::from_millis(RESOLVE_RETRY_MS), TIMER_RESOLVE);
+                }
             }
             TIMER_SWEEP => {
                 self.sweep(ctx);

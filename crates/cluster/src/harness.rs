@@ -14,6 +14,7 @@ use fuxi_sim::{
     World, WorldConfig,
 };
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Cluster-wide configuration.
@@ -93,14 +94,33 @@ pub struct JobState {
     pub done: Option<(bool, f64, String)>,
 }
 
-type ClientLog = Arc<Mutex<BTreeMap<JobId, JobState>>>;
+/// Every job the client has seen, with its client-observed state.
+pub type ClientLog = Arc<Mutex<BTreeMap<JobId, JobState>>>;
 
-/// The client actor: submits jobs to the current master (retrying across
-/// failovers) and records outcomes.
-struct Client {
+/// The client actor: submits jobs to the current master (retrying
+/// unaccepted submissions across failovers) and records outcomes. The sim
+/// harness, the live cluster and the multi-process node all run this one
+/// actor.
+pub struct Client {
     naming: NameRegistry,
     log: ClientLog,
     pending: BTreeMap<JobId, AppDescription>,
+    /// Duplicate terminal notifications observed (must stay 0: exactly-once
+    /// job completion is the invariant failover must preserve).
+    dup_finishes: Arc<AtomicU64>,
+}
+
+impl Client {
+    /// A client recording into `log` and counting duplicate finishes into
+    /// `dup_finishes`.
+    pub fn new(naming: NameRegistry, log: ClientLog, dup_finishes: Arc<AtomicU64>) -> Self {
+        Client {
+            naming,
+            log,
+            pending: BTreeMap::new(),
+            dup_finishes,
+        }
+    }
 }
 
 impl Actor<Msg> for Client {
@@ -139,7 +159,13 @@ impl Actor<Msg> for Client {
                 message,
                 ..
             } => {
+                // A finish also settles a submission whose JobAccepted was
+                // lost: resubmitting it would run the job again.
+                self.pending.remove(&job);
                 if let Some(st) = self.log.lock().unwrap().get_mut(&job) {
+                    if st.done.is_some() {
+                        self.dup_finishes.fetch_add(1, Ordering::Relaxed);
+                    }
                     st.done = Some((success, ctx.now().as_secs_f64(), message));
                 }
             }
@@ -322,11 +348,7 @@ impl Cluster {
         let log: ClientLog = Arc::new(Mutex::new(BTreeMap::new()));
         let client = world.spawn(
             None,
-            Box::new(Client {
-                naming: naming.clone(),
-                log: log.clone(),
-                pending: BTreeMap::new(),
-            }),
+            Box::new(Client::new(naming.clone(), log.clone(), Arc::default())),
         );
         world.spawn(
             None,
@@ -551,5 +573,52 @@ impl Cluster {
             })
             .map(|(a, _)| a)
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fuxi_proto::AppId;
+
+    /// Stands in for the master; counts the submissions it receives.
+    struct SubmitCounter(Arc<AtomicU64>);
+
+    impl Actor<Msg> for SubmitCounter {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ActorId, msg: Msg) {
+            if let Msg::SubmitJob { .. } = msg {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn job_finished_settles_an_unaccepted_submission() {
+        let mut world: World<Msg> = World::new(WorldConfig::uniform(2, 2, 1));
+        let naming = NameRegistry::new();
+        let log = ClientLog::default();
+        let client = world.spawn(None, Box::new(Client::new(naming.clone(), log, Arc::default())));
+        // No master is named yet, so the submission waits in `pending`;
+        // then its finish arrives without a JobAccepted ever having come.
+        let opts = SubmitOpts::default();
+        let desc = AppDescription {
+            app_type: "fuxi_job".to_owned(),
+            quota_group: opts.quota_group,
+            priority: opts.priority,
+            master_resource: fuxi_proto::ResourceVec::cores_mb(1, 2048),
+            master_package_mb: opts.master_package_mb,
+            payload: String::new(),
+        };
+        let job = JobId(1);
+        world.send_external(client, Msg::SubmitJob { job, desc, client });
+        let message = String::new();
+        let (app, success) = (AppId(1), true);
+        world.send_external(client, Msg::JobFinished { job, app, success, message });
+        world.run_until(SimTime::from_secs(1));
+        let submits = Arc::new(AtomicU64::new(0));
+        let fm = world.spawn(None, Box::new(SubmitCounter(Arc::clone(&submits))));
+        naming.register(fuxi_apsara::naming::FUXI_MASTER, fm);
+        world.run_until(SimTime::from_secs(5));
+        assert_eq!(submits.load(Ordering::Relaxed), 0, "a finished job is never resubmitted");
     }
 }

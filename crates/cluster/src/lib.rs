@@ -17,5 +17,5 @@ pub mod report;
 pub mod scenario;
 
 pub use deploy::{ActorGroup, DeployTopology, NodeRole, NodeSpec, PlacedActor};
-pub use harness::{Cluster, ClusterConfig, JobState, SubmitOpts};
+pub use harness::{Client, ClientLog, Cluster, ClusterConfig, JobState, SubmitOpts};
 pub use scenario::{fault_plan, FaultRatios, SyntheticRunStats};

@@ -119,6 +119,9 @@ pub struct FuxiMaster {
     blacklist: Option<ClusterBlacklist>,
     jobs: BTreeMap<JobId, JobRuntime>,
     app_to_job: BTreeMap<AppId, JobId>,
+    /// Jobs this master finished in its tenure, with their app: a late
+    /// resubmission of one (its JobAccepted was lost) must not run it again.
+    finished: BTreeMap<JobId, AppId>,
     next_app: u32,
     agents: Vec<Option<ActorId>>,
     am_addr: BTreeMap<AppId, ActorId>,
@@ -181,6 +184,7 @@ impl FuxiMaster {
             blacklist: None,
             jobs: BTreeMap::new(),
             app_to_job: BTreeMap::new(),
+            finished: BTreeMap::new(),
             next_app: 0,
             agents: vec![None; n],
             am_addr: BTreeMap::new(),
@@ -354,6 +358,12 @@ impl FuxiMaster {
         if self.jobs.contains_key(&job) {
             return; // duplicate submission
         }
+        if let Some(&app) = self.finished.get(&job) {
+            // Acknowledge, so the client stops retrying; never re-run.
+            ctx.metrics().count("fm.resubmit_after_finish", 1);
+            ctx.send(client, Msg::JobAccepted { job, app });
+            return;
+        }
         let app = AppId(self.next_app);
         self.next_app += 1;
         self.jobs.insert(
@@ -441,9 +451,18 @@ impl FuxiMaster {
         success: bool,
         message: String,
     ) {
-        let Some(j) = self.jobs.remove(&job) else {
-            return;
-        };
+        // Only the job's current run may finish it: a report carrying an
+        // older app (a run superseded by a resubmission) is stale.
+        match self.jobs.get(&job) {
+            None => return,
+            Some(j) if j.app != app => {
+                ctx.metrics().count("fm.stale_job_finished", 1);
+                return;
+            }
+            Some(_) => {}
+        }
+        let j = self.jobs.remove(&job).unwrap();
+        self.finished.insert(job, app);
         ctx.set_trace(TraceId::from_job(job.0));
         ctx.trace(TraceEvent::JobFinished {
             job: job.0,
@@ -804,6 +823,7 @@ impl FuxiMaster {
             let t = std::time::Instant::now();
             engine.node_up(machine, total);
             self.record_sched(ctx, t);
+            ctx.metrics().count("fm.agents_registered", 1);
         }
         // Tell a restarted agent what is on the books for its machine.
         let allocations = self.engine.as_ref().unwrap().allocations_on(machine);

@@ -11,7 +11,7 @@ use crate::supervisor::{HubSupervisor, LeafConfig, LeafSupervisor};
 use fuxi_agent::{FuxiAgent, MasterFactory, MasterLaunch, WorkerFactory, WorkerLaunch};
 use fuxi_apsara::{LockService, NameRegistry, PanguHandle, StoreHandle};
 use fuxi_cluster::deploy::{ActorGroup, DeployTopology, NodeRole};
-use fuxi_cluster::{JobState, SubmitOpts};
+use fuxi_cluster::{Client, ClientLog, JobState, SubmitOpts};
 use fuxi_core::master::FuxiMaster;
 use fuxi_job::job_master::JobMaster;
 use fuxi_job::worker::TaskWorker;
@@ -19,90 +19,12 @@ use fuxi_job::JobDesc;
 use fuxi_proto::msg::AppDescription;
 use fuxi_proto::topology::{Topology, TopologyBuilder};
 use fuxi_proto::{JobId, MachineId, Msg, WireError};
-use fuxi_sim::{Actor, ActorId, Ctx, MachineConfig, SimDuration, TraceId};
+use fuxi_sim::{ActorId, MachineConfig, TraceId};
 use fuxi_rt::{LiveRuntime, RuntimeConfig};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-type ClientLog = Arc<Mutex<BTreeMap<JobId, JobState>>>;
-
-/// The submitting client (same protocol as the harness clients: retry
-/// unaccepted submissions across failovers, record outcomes).
-struct Client {
-    naming: NameRegistry,
-    log: ClientLog,
-    pending: BTreeMap<JobId, AppDescription>,
-    /// Duplicate terminal notifications observed (must stay 0: exactly-once
-    /// job completion is the invariant distributed failover must preserve).
-    dup_finishes: Arc<AtomicU64>,
-}
-
-impl Actor<Msg> for Client {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        ctx.timer(SimDuration::from_secs(2), 1);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ActorId, msg: Msg) {
-        match msg {
-            Msg::SubmitJob { job, desc, .. } => {
-                self.log.lock().unwrap().entry(job).or_insert(JobState {
-                    submitted_s: ctx.now().as_secs_f64(),
-                    ..Default::default()
-                });
-                self.pending.insert(job, desc.clone());
-                if let Some(fm) = self.naming.master() {
-                    ctx.send(
-                        fm,
-                        Msg::SubmitJob {
-                            job,
-                            desc,
-                            client: ctx.id(),
-                        },
-                    );
-                }
-            }
-            Msg::JobAccepted { job, .. } => {
-                if let Some(st) = self.log.lock().unwrap().get_mut(&job) {
-                    st.accepted = true;
-                }
-                self.pending.remove(&job);
-            }
-            Msg::JobFinished {
-                job,
-                success,
-                message,
-                ..
-            } => {
-                if let Some(st) = self.log.lock().unwrap().get_mut(&job) {
-                    if st.done.is_some() {
-                        self.dup_finishes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    st.done = Some((success, ctx.now().as_secs_f64(), message));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
-        if let Some(fm) = self.naming.master() {
-            for (&job, desc) in &self.pending {
-                ctx.send_traced(
-                    fm,
-                    Msg::SubmitJob {
-                        job,
-                        desc: desc.clone(),
-                        client: ctx.id(),
-                    },
-                    TraceId::from_job(job.0),
-                );
-            }
-        }
-        ctx.timer(SimDuration::from_secs(2), 1);
-    }
-}
 
 enum Supervisor {
     Hub(HubSupervisor),
@@ -254,12 +176,11 @@ impl LiveNode {
                 ActorGroup::Client => {
                     let id = rt.spawn(
                         None,
-                        Box::new(Client {
-                            naming: naming.clone(),
-                            log: log.clone(),
-                            pending: BTreeMap::new(),
-                            dup_finishes: Arc::clone(&dup_finishes),
-                        }),
+                        Box::new(Client::new(
+                            naming.clone(),
+                            log.clone(),
+                            Arc::clone(&dup_finishes),
+                        )),
                     );
                     assert_eq!(id, deploy.actor_id(node_index, gi, 0));
                     client = Some(id);

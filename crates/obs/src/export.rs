@@ -321,12 +321,13 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_and_sorts_streams() {
+    fn absorb_then_sort_merges_streams() {
         let mut a = sample_tracer();
         let mut b = Tracer::new(TracerConfig::default());
         b.record(0.1, 9, TraceId::NONE, TraceEvent::NodeDown { machine: 2 });
         b.span(0.2, 9, TraceId::NONE, SpanKind::SchedDecision, 5e-6);
         a.absorb(b);
+        a.sort_by_time();
         assert_eq!(a.records.len(), 3);
         assert_eq!(a.spans.len(), 2);
         assert!(a.records.windows(2).all(|w| w[0].t_s <= w[1].t_s));

@@ -218,16 +218,23 @@ impl Tracer {
         self.rings.get(&actor)
     }
 
-    /// Folds another tracer's output into this one. The live runtime gives
-    /// every actor thread its own tracer and merges them at shutdown:
-    /// events, spans, and dumps concatenate and re-sort by timestamp so
-    /// the combined export reads as one time-ordered stream. Flight rings
-    /// are not merged — a thread's ring history is only meaningful inside
+    /// Folds another tracer's output into this one by appending its
+    /// events, spans and dumps. The live runtime gives every actor its own
+    /// tracer and folds each one in when the actor retires, thousands of
+    /// times per run, so absorbing does not re-sort: call
+    /// [`Tracer::sort_by_time`] once when the folding is done. Flight rings
+    /// are not merged — an actor's ring history is only meaningful inside
     /// the dumps it already froze.
     pub fn absorb(&mut self, other: Tracer) {
         self.records.extend(other.records);
         self.spans.extend(other.spans);
         self.dumps.extend(other.dumps);
+    }
+
+    /// Stable-sorts events, spans and dumps by timestamp, so streams
+    /// folded together with [`Tracer::absorb`] read as one time-ordered
+    /// stream (ties keep their absorb order).
+    pub fn sort_by_time(&mut self) {
         let by_t = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal);
         self.records.sort_by(|a, b| by_t(a.t_s, b.t_s));
         self.spans.sort_by(|a, b| by_t(a.t_s, b.t_s));
@@ -262,6 +269,58 @@ mod tests {
         }
         let times: Vec<f64> = r.iter().map(|x| x.t_s).collect();
         assert_eq!(times, vec![2.0, 3.0, 4.0]);
+    }
+
+    /// One sort after k appends must equal the old absorb, which re-sorted
+    /// the whole accumulation after every call — including the order of
+    /// equal timestamps, so the tie-heavy times below matter.
+    #[test]
+    fn absorbing_k_tracers_then_sorting_matches_per_absorb_sorting() {
+        // Same pseudo-random tracers on every call (the tracer is not Clone).
+        let tracers = || -> Vec<Tracer> {
+            let mut seed = 0x2545_F491_4F6C_DD1Du64;
+            let mut next_t = move || {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                (seed % 5) as f64 * 0.5
+            };
+            (0..6u32)
+                .map(|actor| {
+                    let mut t = Tracer::default();
+                    for i in 0..8 {
+                        t.record(next_t(), actor, TraceId::NONE, ev(i));
+                        t.span(next_t(), actor, TraceId::NONE, SpanKind::SchedDecision, 1e-6);
+                    }
+                    t.dump(next_t(), "invariant");
+                    t
+                })
+                .collect()
+        };
+        let key = |t: &Tracer| {
+            let r: Vec<(f64, u32)> = t.records.iter().map(|r| (r.t_s, r.actor)).collect();
+            let s: Vec<(f64, u32)> = t.spans.iter().map(|s| (s.t_s, s.actor)).collect();
+            let d: Vec<(f64, usize)> = t.dumps.iter().map(|d| (d.t_s, d.total_events())).collect();
+            (r, s, d)
+        };
+
+        let mut per_absorb = Tracer::default();
+        let by_t = |a: f64, b: f64| a.partial_cmp(&b).unwrap();
+        for t in tracers() {
+            per_absorb.records.extend(t.records);
+            per_absorb.spans.extend(t.spans);
+            per_absorb.dumps.extend(t.dumps);
+            per_absorb.records.sort_by(|a, b| by_t(a.t_s, b.t_s));
+            per_absorb.spans.sort_by(|a, b| by_t(a.t_s, b.t_s));
+            per_absorb.dumps.sort_by(|a, b| by_t(a.t_s, b.t_s));
+        }
+        let mut once = Tracer::default();
+        for t in tracers() {
+            once.absorb(t);
+        }
+        once.sort_by_time();
+        assert!(once.records.len() >= 6 * 9 && !once.dumps.is_empty());
+        assert_eq!(key(&once), key(&per_absorb));
     }
 
     #[test]

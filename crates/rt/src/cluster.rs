@@ -1,7 +1,7 @@
 //! A fully wired *live* Fuxi cluster: the same production actors the
 //! simulated harness runs — lock service, FuxiMaster pair, one FuxiAgent
 //! per machine, JobMaster/TaskWorker factories, a submitting client — but
-//! on OS threads under [`LiveRuntime`] instead of the kernel.
+//! on the worker pool of [`LiveRuntime`] instead of the kernel.
 //!
 //! The wiring mirrors `fuxi_cluster::Cluster::new` step for step and
 //! reuses its [`ClusterConfig`]/[`SubmitOpts`]/[`JobState`] types, so a
@@ -12,7 +12,7 @@ use crate::runtime::{LiveRuntime, RuntimeConfig};
 use fuxi_agent::{FuxiAgent, MasterFactory, MasterLaunch, WorkerFactory, WorkerLaunch};
 use fuxi_apsara::{LockService, NameRegistry, PanguHandle, StoreHandle};
 use fuxi_cluster::deploy::{ActorGroup, DeployTopology};
-use fuxi_cluster::{ClusterConfig, JobState, SubmitOpts};
+use fuxi_cluster::{Client, ClientLog, ClusterConfig, JobState, SubmitOpts};
 use fuxi_core::master::FuxiMaster;
 use fuxi_job::job_master::JobMaster;
 use fuxi_job::worker::TaskWorker;
@@ -20,85 +20,10 @@ use fuxi_job::JobDesc;
 use fuxi_proto::msg::AppDescription;
 use fuxi_proto::topology::{Topology, TopologyBuilder};
 use fuxi_proto::{JobId, MachineId, Msg};
-use fuxi_sim::{
-    Actor, ActorId, Ctx, MachineConfig, Metrics, SimDuration, TraceId, Tracer,
-};
+use fuxi_sim::{ActorId, MachineConfig, Metrics, TraceId, Tracer};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-type ClientLog = Arc<Mutex<BTreeMap<JobId, JobState>>>;
-
-/// The live client actor: submits jobs to the current master (retrying
-/// across failovers) and records outcomes. Same protocol as the simulated
-/// harness's client.
-struct Client {
-    naming: NameRegistry,
-    log: ClientLog,
-    pending: BTreeMap<JobId, AppDescription>,
-}
-
-impl Actor<Msg> for Client {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        ctx.timer(SimDuration::from_secs(2), 1);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ActorId, msg: Msg) {
-        match msg {
-            Msg::SubmitJob { job, desc, .. } => {
-                self.log.lock().unwrap().entry(job).or_insert(JobState {
-                    submitted_s: ctx.now().as_secs_f64(),
-                    ..Default::default()
-                });
-                self.pending.insert(job, desc.clone());
-                if let Some(fm) = self.naming.master() {
-                    ctx.send(
-                        fm,
-                        Msg::SubmitJob {
-                            job,
-                            desc,
-                            client: ctx.id(),
-                        },
-                    );
-                }
-            }
-            Msg::JobAccepted { job, .. } => {
-                if let Some(st) = self.log.lock().unwrap().get_mut(&job) {
-                    st.accepted = true;
-                }
-                self.pending.remove(&job);
-            }
-            Msg::JobFinished {
-                job,
-                success,
-                message,
-                ..
-            } => {
-                if let Some(st) = self.log.lock().unwrap().get_mut(&job) {
-                    st.done = Some((success, ctx.now().as_secs_f64(), message));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
-        if let Some(fm) = self.naming.master() {
-            for (&job, desc) in &self.pending {
-                ctx.send_traced(
-                    fm,
-                    Msg::SubmitJob {
-                        job,
-                        desc: desc.clone(),
-                        client: ctx.id(),
-                    },
-                    TraceId::from_job(job.0),
-                );
-            }
-        }
-        ctx.timer(SimDuration::from_secs(2), 1);
-    }
-}
 
 /// A fully wired live Fuxi cluster.
 pub struct LiveCluster {
@@ -240,14 +165,8 @@ impl LiveCluster {
                         }
                     }
                     ActorGroup::Client => {
-                        client = rt.spawn(
-                            None,
-                            Box::new(Client {
-                                naming: naming.clone(),
-                                log: log.clone(),
-                                pending: BTreeMap::new(),
-                            }),
-                        );
+                        let c = Client::new(naming.clone(), log.clone(), Arc::default());
+                        client = rt.spawn(None, Box::new(c));
                     }
                 }
             }

@@ -1,15 +1,22 @@
-//! Bounded per-actor mailboxes with backpressure accounting.
+//! Per-actor mailboxes for the worker pool, with backpressure accounting.
 //!
-//! Each live actor owns one mailbox: a `sync_channel` whose bound is the
-//! runtime's backpressure limit. Senders first `try_send`; when the box is
-//! full they park on the blocking path and the stall is counted
-//! (`rt.mailbox_parked`), so overload shows up in metrics instead of as
-//! silent unbounded queues. Depth and high-water mark are tracked with
-//! atomics shared between the sender side and the draining actor thread.
+//! Each live actor owns one mailbox: a lazily grown `VecDeque` under a
+//! mutex, plus the actor's `scheduled` flag. The flag is set under the same
+//! lock as the push that finds the actor idle, so exactly one sender puts
+//! the actor on the run queue and at most one worker runs it at a time.
+//! That single-runner rule is what keeps per-source-per-destination FIFO:
+//! a sender's pushes land in order and one worker pops them in order.
+//!
+//! The bound is a backpressure limit, not an allocation: an empty mailbox
+//! holds no buffer. What a sender does at the bound depends on who it is
+//! ([`AtBound`]): threads outside the pool block, the clock thread gets
+//! the envelope back to retry, and pool workers enqueue past the bound
+//! (a parked worker could deadlock the pool) and count the overrun.
+//! Depth and high-water mark are mirrored into atomics for the sampler.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Condvar, Mutex};
 
 /// Shared depth counters of one mailbox.
 #[derive(Debug, Default)]
@@ -29,152 +36,266 @@ impl MailboxGauges {
         self.hwm.load(Ordering::Relaxed)
     }
 
-    // Depth is incremented BEFORE the channel send: the receiver can only
-    // observe (and decrement for) an element whose increment already
-    // happened, so depth never underflows.
-    fn on_push(&self) {
-        let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.hwm.fetch_max(d, Ordering::Relaxed);
+    fn set(&self, depth: usize) {
+        self.depth.store(depth, Ordering::Relaxed);
+        self.hwm.fetch_max(depth, Ordering::Relaxed);
     }
+}
 
-    fn undo_push(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Called by the draining thread after each receive.
-    pub fn on_pop(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-    }
+/// What a sender does when the mailbox already holds `capacity` items.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AtBound {
+    /// Wait for the owner to drain (threads outside the worker pool).
+    Block,
+    /// Hand the item back (the clock thread retries it next tick).
+    Refuse,
+    /// Enqueue past the bound (pool workers, which must never park).
+    Overrun,
 }
 
 /// Outcome of a mailbox push, for the sender's accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushOutcome {
-    /// Enqueued without waiting.
+    /// Enqueued within the bound.
     Sent,
-    /// Enqueued after parking on a full mailbox.
+    /// Enqueued after blocking on, or overrunning, a full mailbox.
     SentParked,
     /// The receiving actor is gone.
     Dead,
 }
 
-/// Sending half of a mailbox.
-#[derive(Debug)]
-pub struct MailboxSender<T> {
-    tx: SyncSender<T>,
-    gauges: Arc<MailboxGauges>,
+/// A successful push: the accounting outcome, and whether the owner was
+/// idle, in which case the caller must put it on the run queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pushed {
+    /// How the push went.
+    pub outcome: PushOutcome,
+    /// The owner was idle and is now marked scheduled.
+    pub wake: bool,
 }
 
-// Manual impl: a derive would wrongly require `T: Clone`.
-impl<T> Clone for MailboxSender<T> {
-    fn clone(&self) -> Self {
-        MailboxSender {
-            tx: self.tx.clone(),
-            gauges: self.gauges.clone(),
+/// What the running worker does with the actor after a turn.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TurnEnd {
+    /// Mailbox empty: the actor is idle until the next push wakes it.
+    Idle,
+    /// More mail queued: put the actor back on the run queue.
+    Again,
+    /// Closed and drained: the actor is finished and may be dropped.
+    Closed,
+}
+
+struct State<T> {
+    queue: VecDeque<T>,
+    /// On the run queue or being run by a worker.
+    scheduled: bool,
+    /// Killed (or panicked): no further pushes are accepted.
+    closed: bool,
+    /// External senders waiting for room.
+    blocked: usize,
+}
+
+/// One actor's mailbox and scheduling flag.
+pub struct Mailbox<T> {
+    state: Mutex<State<T>>,
+    not_full: Condvar,
+    gauges: MailboxGauges,
+    capacity: usize,
+}
+
+impl<T> Mailbox<T> {
+    /// A mailbox holding `first` with its owner marked scheduled: the
+    /// spawner puts the new actor on the run queue itself.
+    pub fn new_scheduled(capacity: usize, first: T) -> Mailbox<T> {
+        let mut queue = VecDeque::new();
+        queue.push_back(first);
+        let gauges = MailboxGauges::default();
+        gauges.set(1);
+        Mailbox {
+            state: Mutex::new(State {
+                queue,
+                scheduled: true,
+                closed: false,
+                blocked: 0,
+            }),
+            not_full: Condvar::new(),
+            gauges,
+            capacity: capacity.max(1),
         }
     }
-}
 
-impl<T> MailboxSender<T> {
-    /// Enqueues `v`, blocking only when the mailbox is full.
-    pub fn push(&self, v: T) -> PushOutcome {
-        self.gauges.on_push();
-        match self.tx.try_send(v) {
-            Ok(()) => PushOutcome::Sent,
-            Err(TrySendError::Disconnected(_)) => {
-                self.gauges.undo_push();
-                PushOutcome::Dead
-            }
-            Err(TrySendError::Full(v)) => {
-                if self.tx.send(v).is_ok() {
-                    PushOutcome::SentParked
-                } else {
-                    self.gauges.undo_push();
-                    PushOutcome::Dead
+    /// Depth and high-water gauges.
+    pub fn gauges(&self) -> &MailboxGauges {
+        &self.gauges
+    }
+
+    /// `false` once the mailbox is closed.
+    pub fn is_open(&self) -> bool {
+        !self.state.lock().unwrap().closed
+    }
+
+    /// Enqueues `v`. `Err(v)` only under [`AtBound::Refuse`] at the bound.
+    pub fn push(&self, v: T, at_bound: AtBound) -> Result<Pushed, T> {
+        let mut st = self.state.lock().unwrap();
+        let mut outcome = PushOutcome::Sent;
+        if st.queue.len() >= self.capacity && !st.closed {
+            match at_bound {
+                AtBound::Refuse => return Err(v),
+                AtBound::Overrun => outcome = PushOutcome::SentParked,
+                AtBound::Block => {
+                    outcome = PushOutcome::SentParked;
+                    st.blocked += 1;
+                    while st.queue.len() >= self.capacity && !st.closed {
+                        st = self.not_full.wait(st).unwrap();
+                    }
+                    st.blocked -= 1;
                 }
             }
         }
+        if st.closed {
+            return Ok(Pushed {
+                outcome: PushOutcome::Dead,
+                wake: false,
+            });
+        }
+        st.queue.push_back(v);
+        self.gauges.set(st.queue.len());
+        let wake = !std::mem::replace(&mut st.scheduled, true);
+        Ok(Pushed { outcome, wake })
     }
 
-    /// Enqueues `v` without ever blocking (the clock thread uses this so a
-    /// stuck actor cannot stall every timer in the runtime). `Err` returns
-    /// the value on a full mailbox for the caller to retry later.
-    pub fn push_nonblocking(&self, v: T) -> Result<PushOutcome, T> {
-        self.gauges.on_push();
-        match self.tx.try_send(v) {
-            Ok(()) => Ok(PushOutcome::Sent),
-            Err(TrySendError::Disconnected(_)) => {
-                self.gauges.undo_push();
-                Ok(PushOutcome::Dead)
-            }
-            Err(TrySendError::Full(v)) => {
-                self.gauges.undo_push();
-                Err(v)
-            }
+    /// Moves up to `max` queued items into `out` (the running worker's
+    /// batch), waking blocked senders once there is room again.
+    pub fn take_batch(&self, max: usize, out: &mut Vec<T>) {
+        let mut st = self.state.lock().unwrap();
+        let n = st.queue.len().min(max);
+        out.extend(st.queue.drain(..n));
+        self.gauges.set(st.queue.len());
+        if st.blocked > 0 && st.queue.len() < self.capacity {
+            self.not_full.notify_all();
         }
     }
 
-    /// The mailbox's depth gauges.
-    pub fn gauges(&self) -> &Arc<MailboxGauges> {
-        &self.gauges
+    /// Ends the running worker's turn; see [`TurnEnd`].
+    pub fn end_turn(&self) -> TurnEnd {
+        let mut st = self.state.lock().unwrap();
+        if !st.queue.is_empty() {
+            TurnEnd::Again
+        } else if st.closed {
+            TurnEnd::Closed
+        } else {
+            st.scheduled = false;
+            TurnEnd::Idle
+        }
     }
-}
 
-/// Creates a bounded mailbox; returns the sender, the receiver for the
-/// actor thread, and the shared gauges.
-pub fn mailbox<T>(capacity: usize) -> (MailboxSender<T>, Receiver<T>, Arc<MailboxGauges>) {
-    let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
-    let gauges = Arc::new(MailboxGauges::default());
-    (
-        MailboxSender {
-            tx,
-            gauges: gauges.clone(),
-        },
-        rx,
-        gauges,
-    )
+    /// Refuses all further pushes; what is already queued stays to be
+    /// drained. `None` if it was already closed; otherwise `Some(wake)`,
+    /// where `wake` means the owner was idle and is now marked scheduled,
+    /// so the caller must put it on the run queue once more to retire it.
+    pub fn close(&self) -> Option<bool> {
+        let mut st = self.state.lock().unwrap();
+        if std::mem::replace(&mut st.closed, true) {
+            return None;
+        }
+        if st.blocked > 0 {
+            self.not_full.notify_all();
+        }
+        Some(!std::mem::replace(&mut st.scheduled, true))
+    }
+
+    /// Drops whatever is still queued (a panicked owner's mail) and frees
+    /// the buffer (a retired owner's).
+    pub fn discard(&self) {
+        let mut st = self.state.lock().unwrap();
+        st.queue = VecDeque::new();
+        self.gauges.set(0);
+        if st.blocked > 0 {
+            self.not_full.notify_all();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn first_push_to_idle_owner_wakes_it() {
+        let mb = Mailbox::new_scheduled(8, 0u32);
+        assert!(!mb.push(1, AtBound::Block).unwrap().wake);
+        let mut batch = Vec::new();
+        mb.take_batch(8, &mut batch);
+        assert_eq!(batch, vec![0, 1]);
+        assert_eq!(mb.end_turn(), TurnEnd::Idle);
+        let p = mb.push(2, AtBound::Overrun).unwrap();
+        assert_eq!(p, Pushed { outcome: PushOutcome::Sent, wake: true });
+        assert!(!mb.push(3, AtBound::Overrun).unwrap().wake);
+    }
 
     #[test]
     fn depth_and_hwm_track_pushes_and_pops() {
-        let (tx, rx, g) = mailbox::<u32>(8);
-        assert_eq!(tx.push(1), PushOutcome::Sent);
-        assert_eq!(tx.push(2), PushOutcome::Sent);
-        assert_eq!(g.depth(), 2);
-        assert_eq!(g.hwm(), 2);
-        rx.recv().unwrap();
-        g.on_pop();
-        assert_eq!(g.depth(), 1);
-        assert_eq!(g.hwm(), 2, "hwm is sticky");
+        let mb = Mailbox::new_scheduled(8, 1u32);
+        mb.push(2, AtBound::Block).unwrap();
+        assert_eq!(mb.gauges().depth(), 2);
+        assert_eq!(mb.gauges().hwm(), 2);
+        let mut batch = Vec::new();
+        mb.take_batch(1, &mut batch);
+        assert_eq!(mb.gauges().depth(), 1);
+        assert_eq!(mb.gauges().hwm(), 2, "hwm is sticky");
+        assert_eq!(mb.end_turn(), TurnEnd::Again);
     }
 
     #[test]
-    fn nonblocking_push_reports_full() {
-        let (tx, _rx, _) = mailbox::<u32>(1);
-        assert_eq!(tx.push_nonblocking(1), Ok(PushOutcome::Sent));
-        assert_eq!(tx.push_nonblocking(2), Err(2));
+    fn bound_refuses_or_overruns_by_sender_kind() {
+        let mb = Mailbox::new_scheduled(1, 1u32);
+        assert_eq!(mb.push(2, AtBound::Refuse), Err(2));
+        let p = mb.push(3, AtBound::Overrun).unwrap();
+        assert_eq!(p.outcome, PushOutcome::SentParked);
+        assert_eq!(mb.gauges().depth(), 2);
     }
 
     #[test]
-    fn push_to_dropped_receiver_is_dead() {
-        let (tx, rx, _) = mailbox::<u32>(1);
-        drop(rx);
-        assert_eq!(tx.push(1), PushOutcome::Dead);
+    fn closed_mailbox_drains_then_retires() {
+        let mb = Mailbox::new_scheduled(8, 1u32);
+        let mut batch = Vec::new();
+        mb.take_batch(8, &mut batch);
+        assert_eq!(mb.end_turn(), TurnEnd::Idle);
+        mb.push(2, AtBound::Block).unwrap();
+        assert_eq!(mb.close(), Some(false), "already scheduled by the push");
+        assert_eq!(mb.close(), None, "already closed");
+        assert_eq!(mb.push(3, AtBound::Block).unwrap().outcome, PushOutcome::Dead);
+        assert_eq!(mb.end_turn(), TurnEnd::Again);
+        batch.clear();
+        mb.take_batch(8, &mut batch);
+        assert_eq!(batch, vec![2]);
+        assert_eq!(mb.end_turn(), TurnEnd::Closed);
+        assert!(!mb.is_open());
     }
 
     #[test]
-    fn full_mailbox_parks_then_delivers() {
-        let (tx, rx, g) = mailbox::<u32>(1);
-        assert_eq!(tx.push(1), PushOutcome::Sent);
-        let t = std::thread::spawn(move || tx.push(2));
+    fn full_mailbox_blocks_external_sender_until_drained() {
+        let mb = Arc::new(Mailbox::new_scheduled(1, 1u32));
+        let tx = Arc::clone(&mb);
+        let t = std::thread::spawn(move || tx.push(2, AtBound::Block).unwrap().outcome);
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(rx.recv().unwrap(), 1);
-        g.on_pop();
+        let mut batch = Vec::new();
+        mb.take_batch(8, &mut batch);
+        assert_eq!(batch, vec![1]);
         assert_eq!(t.join().unwrap(), PushOutcome::SentParked);
-        assert_eq!(rx.recv().unwrap(), 2);
+        batch.clear();
+        mb.take_batch(8, &mut batch);
+        assert_eq!(batch, vec![2]);
+    }
+
+    #[test]
+    fn close_releases_blocked_sender_as_dead() {
+        let mb = Arc::new(Mailbox::new_scheduled(1, 1u32));
+        let tx = Arc::clone(&mb);
+        let t = std::thread::spawn(move || tx.push(2, AtBound::Block).unwrap().outcome);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(mb.close(), Some(false));
+        assert_eq!(t.join().unwrap(), PushOutcome::Dead);
     }
 }

@@ -1,54 +1,73 @@
-//! The live runtime: every actor on its own OS thread, timers on a real
-//! clock, mailboxes as bounded MPSC channels.
+//! The live runtime: actors on a fixed pool of worker threads, timers on a
+//! real clock, one lazily grown mailbox per actor.
 //!
 //! The same actor code that runs under the deterministic kernel runs here
 //! unchanged — handlers see a [`Ctx`] whose live backend is implemented by
-//! [`ThreadCtx`] below. What changes is the execution substrate:
+//! [`TurnCtx`] below. What changes is the execution substrate:
 //!
-//! * **Delivery** is a bounded `sync_channel` per actor. A given sender's
-//!   messages to a given destination arrive in send order (the kernel's
-//!   per-source FIFO guarantee, restricted to each destination pair); there
-//!   is no global order across destinations.
+//! * **Execution** is a fixed pool of worker threads (one per available
+//!   core by default) taking ready actors off one FIFO run queue. An actor
+//!   is *scheduled* while it is on the queue or running; the flag lives
+//!   under its mailbox lock, so at most one worker runs a given actor at a
+//!   time. A turn handles at most `TURN_BATCH` (32) envelopes and then puts a
+//!   still-busy actor at the back of the queue, so a flooded FuxiMaster
+//!   cannot starve the lock service's keepalives.
+//! * **Delivery** goes through the destination's [`Mailbox`]. A given
+//!   sender's messages to a given destination arrive in send order (the
+//!   kernel's per-source FIFO guarantee, restricted to each destination
+//!   pair); there is no global order across destinations. At the bound,
+//!   threads outside the pool block, the clock thread retries next tick,
+//!   and pool workers enqueue anyway and count `rt.mailbox_parked`.
 //! * **Timers** live in a hashed [`TimerWheel`] owned by one clock thread,
 //!   which also drives the shared [`FlowNet`] I/O model on wall time.
-//! * **Observability** is per-thread: each actor thread owns a `Metrics`
-//!   and a `Tracer` (so the hot path takes no locks) which the runtime
-//!   merges into one stream at shutdown.
+//! * **Observability** is split by what it is about. `Metrics` are per
+//!   worker (lock-free hot path), flushed on the `metrics_flush` cadence
+//!   and merged at shutdown. Each actor owns its RNG, its current trace and
+//!   its `Tracer`, which move with it between workers, so a flight dump
+//!   freezes only the dumping actor's ring. A killed actor's tracer is
+//!   folded into its last worker's and the actor is dropped.
 //!
 //! Determinism is deliberately traded away: two runs of the same workload
 //! interleave differently. The sim↔live parity test pins down what must
 //! still agree — terminal job outcomes, not schedules.
 
-use crate::mailbox::{mailbox, MailboxGauges, MailboxSender, PushOutcome};
+use crate::mailbox::{AtBound, Mailbox, PushOutcome, TurnEnd};
 use crate::timer::TimerWheel;
 use fuxi_sim::{
-    Actor, ActorId, FlowNet, FlowSpec, KernelMsg, LiveCtxOps, MachineConfig, Metrics, SimDuration,
-    SimTime,
+    Actor, ActorId, FlowDone, FlowNet, FlowSpec, KernelMsg, LiveCtxOps, MachineConfig, Metrics,
+    SimDuration, SimTime,
 };
 use fuxi_sim::{Ctx, TracerConfig};
 use fuxi_obs::{SpanKind, TraceEvent, TraceId, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::any::Any;
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Envelopes one worker turn handles before a busy actor goes to the back
+/// of the run queue.
+const TURN_BATCH: usize = 32;
 
 /// Live-runtime construction parameters.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Hardware description per machine (same shape the kernel takes).
     pub machines: Vec<MachineConfig>,
-    /// Seed from which every actor thread's RNG is derived.
+    /// Seed from which every actor's RNG is derived.
     pub seed: u64,
-    /// Observability configuration applied to each per-thread tracer.
+    /// Observability configuration applied to each per-actor tracer.
     pub obs: TracerConfig,
-    /// Mailbox bound: senders park (and are counted) beyond this depth.
+    /// Mailbox bound: beyond this depth external senders block, the clock
+    /// thread retries, and pool workers overrun (counted).
     pub mailbox_capacity: usize,
     /// Timer-wheel granularity.
     pub timer_tick: Duration,
-    /// How often each actor thread folds its private metrics into the
+    /// How often each worker folds its private metrics into the
     /// runtime-global sink (and the clock thread samples mailbox depths).
     /// Sub-second values make the scrape endpoint near-live; the shutdown
     /// merge still catches whatever accumulated since the last flush.
@@ -59,6 +78,8 @@ pub struct RuntimeConfig {
     /// globally routable; ids outside this runtime's window go to the
     /// remote router (or count as dead when none is installed).
     pub actor_base: u32,
+    /// Worker threads in the pool; 0 means one per available core.
+    pub workers: usize,
 }
 
 /// Width of one node's actor-id window: ids `base .. base + 2^24` are
@@ -82,6 +103,7 @@ impl Default for RuntimeConfig {
             timer_tick: Duration::from_millis(2),
             metrics_flush: Duration::from_secs(1),
             actor_base: 0,
+            workers: 0,
         }
     }
 }
@@ -107,8 +129,6 @@ enum Envelope<M> {
     },
     /// Fire `on_timer(tag)`.
     Timer { tag: u64 },
-    /// Terminate the actor thread.
-    Kill,
 }
 
 /// Commands to the clock thread.
@@ -153,15 +173,98 @@ enum Due<M> {
     },
 }
 
-/// What an actor thread returns at exit: its accumulated observability.
-type ActorJoin = JoinHandle<(Metrics, Tracer)>;
+/// Per-actor state a handler may touch besides the actor itself; it moves
+/// between workers with the actor.
+struct ActorState {
+    rng: SmallRng,
+    tracer: Tracer,
+    current_trace: TraceId,
+}
 
-struct ActorSlot<M> {
-    sender: Option<MailboxSender<Envelope<M>>>,
+/// A live actor's code and private state.
+struct ActorBody<M> {
+    actor: Box<dyn Actor<M> + Send>,
+    state: ActorState,
+}
+
+/// One registry entry. The body is `None` once the actor has retired; the
+/// cell itself stays so its id keeps reading as dead.
+struct ActorCell<M> {
+    id: ActorId,
     machine: Option<u32>,
-    alive: bool,
-    gauges: Arc<MailboxGauges>,
-    handle: Option<ActorJoin>,
+    mailbox: Mailbox<Envelope<M>>,
+    /// Locked only by the worker running the actor (uncontended: the
+    /// mailbox's `scheduled` flag admits one runner at a time).
+    body: Mutex<Option<ActorBody<M>>>,
+}
+
+type Cell<M> = Arc<ActorCell<M>>;
+
+/// The ready actors, in FIFO order, and the pool's idle/stop bookkeeping.
+struct RunQueue<M> {
+    state: Mutex<Ready<M>>,
+    wake: Condvar,
+}
+
+struct Ready<M> {
+    cells: VecDeque<Cell<M>>,
+    /// Workers waiting on `wake` (a push only signals when one is).
+    idle: usize,
+    stopping: bool,
+}
+
+/// What a worker gets from the run queue.
+enum Next<M> {
+    Run(Cell<M>),
+    /// Nothing became ready within the wait; a chance to flush metrics.
+    Idle,
+    /// Shutdown and the queue is empty.
+    Stop,
+}
+
+impl<M> RunQueue<M> {
+    fn new() -> Self {
+        RunQueue {
+            state: Mutex::new(Ready {
+                cells: VecDeque::new(),
+                idle: 0,
+                stopping: false,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn push(&self, cell: Cell<M>) {
+        let mut st = self.state.lock().unwrap();
+        st.cells.push_back(cell);
+        if st.idle > 0 {
+            self.wake.notify_one();
+        }
+    }
+
+    fn pop(&self, patience: Duration) -> Next<M> {
+        let mut st = self.state.lock().unwrap();
+        loop {
+            if let Some(cell) = st.cells.pop_front() {
+                return Next::Run(cell);
+            }
+            if st.stopping {
+                return Next::Stop;
+            }
+            st.idle += 1;
+            let (guard, waited) = self.wake.wait_timeout(st, patience).unwrap();
+            st = guard;
+            st.idle -= 1;
+            if waited.timed_out() && st.cells.is_empty() && !st.stopping {
+                return Next::Idle;
+            }
+        }
+    }
+
+    fn stop(&self) {
+        self.state.lock().unwrap().stopping = true;
+        self.wake.notify_all();
+    }
 }
 
 struct MachineState {
@@ -175,9 +278,10 @@ struct MachineState {
 struct Shared<M: KernelMsg + Send> {
     epoch: Instant,
     cfg: RuntimeConfig,
-    slots: RwLock<Vec<ActorSlot<M>>>,
+    slots: RwLock<Vec<Cell<M>>>,
     machines: RwLock<Vec<MachineState>>,
     clock_tx: Sender<ClockCmd<M>>,
+    ready: RunQueue<M>,
     /// Runtime-global sinks: fault events, external sends, shutdown merge.
     metrics: Mutex<Metrics>,
     tracer: Mutex<Tracer>,
@@ -188,6 +292,8 @@ struct Shared<M: KernelMsg + Send> {
     remote_router: RwLock<Option<RemoteRouter<M>>>,
     /// Liveness oracle for remote ids (`ctx.alive` on a peer's actor).
     remote_alive: RwLock<Option<RemoteAlive>>,
+    /// The first handler panic, re-raised by `shutdown`.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl<M: KernelMsg + Send + 'static> Shared<M> {
@@ -200,9 +306,13 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         same_window(id.0, self.cfg.actor_base)
     }
 
-    /// Slot index for a local id.
-    fn slot_index(&self, id: ActorId) -> usize {
-        (id.0 - self.cfg.actor_base) as usize
+    /// The registry entry of a local id, if it was ever spawned.
+    fn cell(&self, id: ActorId) -> Option<Cell<M>> {
+        if !self.is_local(id) {
+            return None;
+        }
+        let slots = self.slots.read().unwrap();
+        slots.get((id.0 - self.cfg.actor_base) as usize).cloned()
     }
 
     /// Hands a message for a non-local destination to the remote router.
@@ -222,96 +332,94 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         PushOutcome::Dead
     }
 
-    /// Clones the destination's sender under the read lock, pushes outside
-    /// it (a parked push must never hold the registry lock).
-    fn push_envelope(&self, to: ActorId, env: Envelope<M>) -> PushOutcome {
+    /// Delivers `env` to `to`, scheduling the destination if it was idle.
+    /// The registry lock is released before the push (a blocked sender
+    /// must never hold it). `Err` hands the envelope back only under
+    /// [`AtBound::Refuse`].
+    fn deliver(
+        &self,
+        to: ActorId,
+        env: Envelope<M>,
+        at_bound: AtBound,
+    ) -> Result<PushOutcome, Envelope<M>> {
         if !self.is_local(to) {
-            return self.route_remote(to, env);
+            return Ok(self.route_remote(to, env));
         }
-        let sender = {
-            let slots = self.slots.read().unwrap();
-            slots
-                .get(self.slot_index(to))
-                .filter(|s| s.alive)
-                .and_then(|s| s.sender.clone())
+        let Some(cell) = self.cell(to) else {
+            return Ok(PushOutcome::Dead);
         };
-        match sender {
-            Some(tx) => tx.push(env),
-            None => PushOutcome::Dead,
+        let pushed = cell.mailbox.push(env, at_bound)?;
+        if pushed.wake {
+            self.ready.push(cell);
         }
+        Ok(pushed.outcome)
     }
 
-    /// Non-blocking delivery used by the clock thread: remote envelopes are
-    /// routed (never parked), local ones try the mailbox and hand the
-    /// envelope back on a full box so the caller can retry next tick.
-    fn try_deliver(&self, to: ActorId, env: Envelope<M>) -> Result<(), Envelope<M>> {
-        // (remote routing never parks; local full mailboxes hand back the envelope)
-        if !self.is_local(to) {
-            self.route_remote(to, env);
-            return Ok(());
-        }
-        let sender = {
-            let slots = self.slots.read().unwrap();
-            slots
-                .get(self.slot_index(to))
-                .filter(|s| s.alive)
-                .and_then(|s| s.sender.clone())
-        };
-        match sender {
-            Some(tx) => tx.push_nonblocking(env).map(|_| ()),
-            None => Ok(()),
-        }
+    /// Delivery from a thread outside the pool: blocks at the bound.
+    fn deliver_blocking(&self, to: ActorId, env: Envelope<M>) {
+        let _ = self.deliver(to, env, AtBound::Block);
     }
 
-    fn spawn(self: &Arc<Self>, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>, trace: TraceId) -> ActorId {
-        let (tx, rx, gauges) = mailbox(self.cfg.mailbox_capacity);
-        let id = {
+    /// Inbound delivery from a peer process, keeping the remote sender.
+    fn route_in(&self, from: ActorId, to: ActorId, msg: M) {
+        self.metrics.lock().unwrap().count("net.remote_in", 1);
+        let trace = TraceId::NONE;
+        self.deliver_blocking(to, Envelope::Msg { from, msg, trace });
+    }
+
+    fn spawn(
+        &self,
+        machine: Option<u32>,
+        actor: Box<dyn Actor<M> + Send>,
+        trace: TraceId,
+    ) -> ActorId {
+        let cell = {
             let mut slots = self.slots.write().unwrap();
             assert!(
                 (slots.len() as u32) < (1 << ACTOR_WINDOW_SHIFT),
                 "actor-id window exhausted"
             );
             let id = ActorId(self.cfg.actor_base + slots.len() as u32);
-            let shared = Arc::clone(self);
-            let g = Arc::clone(&gauges);
-            let handle = std::thread::Builder::new()
-                .name(format!("fuxi-{id}"))
-                .spawn(move || actor_thread(shared, id, actor, rx, g))
-                .expect("spawn actor thread");
-            slots.push(ActorSlot {
-                sender: Some(tx.clone()),
+            let seed = self
+                .cfg
+                .seed
+                .wrapping_add(u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let cell = Arc::new(ActorCell {
+                id,
                 machine,
-                alive: true,
-                gauges,
-                handle: Some(handle),
+                mailbox: Mailbox::new_scheduled(
+                    self.cfg.mailbox_capacity,
+                    Envelope::Start { trace },
+                ),
+                body: Mutex::new(Some(ActorBody {
+                    actor,
+                    state: ActorState {
+                        rng: SmallRng::seed_from_u64(seed),
+                        tracer: Tracer::new(self.cfg.obs.clone()),
+                        current_trace: TraceId::NONE,
+                    },
+                })),
             });
-            id
+            slots.push(Arc::clone(&cell));
+            cell
         };
+        let id = cell.id;
         self.metrics.lock().unwrap().count("rt.actors_spawned", 1);
-        tx.push(Envelope::Start { trace });
+        self.ready.push(cell);
         id
     }
 
+    /// Closes `id`'s mailbox: it drains what was queued before the kill,
+    /// then retires. New sends to it count as dead.
     fn kill(&self, id: ActorId) {
-        if !self.is_local(id) {
-            return; // remote actors are killed by their own node
+        // Remote actors are killed by their own node.
+        let Some(cell) = self.cell(id) else { return };
+        match cell.mailbox.close() {
+            None => return, // already dead
+            Some(true) => self.ready.push(Arc::clone(&cell)),
+            Some(false) => {}
         }
-        let (sender, machine) = {
-            let mut slots = self.slots.write().unwrap();
-            match slots.get_mut(self.slot_index(id)) {
-                Some(s) if s.alive => {
-                    s.alive = false;
-                    (s.sender.take(), s.machine)
-                }
-                _ => return,
-            }
-        };
-        if let Some(tx) = sender {
-            // Best effort: if the box is full, dropping the last sender
-            // still terminates the thread once it drains.
-            let _ = tx.push_nonblocking(Envelope::Kill);
-        }
-        if let Some(m) = machine {
+        if let Some(m) = cell.machine {
             self.machines.write().unwrap()[m as usize].procs.remove(&id);
         }
         let _ = self.clock_tx.send(ClockCmd::CancelFlows { owner: id });
@@ -329,22 +437,11 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
                 .as_ref()
                 .is_some_and(|f| f(id));
         }
-        self.slots
-            .read()
-            .unwrap()
-            .get(self.slot_index(id))
-            .is_some_and(|s| s.alive)
+        self.cell(id).is_some_and(|c| c.mailbox.is_open())
     }
 
     fn machine_of(&self, id: ActorId) -> Option<u32> {
-        if !self.is_local(id) {
-            return None;
-        }
-        self.slots
-            .read()
-            .unwrap()
-            .get(self.slot_index(id))
-            .and_then(|s| s.machine)
+        self.cell(id).and_then(|c| c.machine)
     }
 
     /// Samples mailbox pressure: per-actor depth gauges for non-empty
@@ -358,10 +455,11 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         {
             let slots = self.slots.read().unwrap();
             let mut metrics = self.metrics.lock().unwrap();
-            for (i, s) in slots.iter().enumerate() {
-                hwm = hwm.max(s.gauges.hwm());
-                let depth = s.gauges.depth();
-                if s.alive && depth > 0 {
+            for (i, c) in slots.iter().enumerate() {
+                let gauges = c.mailbox.gauges();
+                hwm = hwm.max(gauges.hwm());
+                let depth = gauges.depth();
+                if depth > 0 && c.mailbox.is_open() {
                     metrics.gauge_set(&format!("rt.mailbox_depth.a{i}"), depth as f64);
                     total += depth;
                 }
@@ -380,81 +478,135 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
     }
 }
 
-/// One actor's event loop. Runs on a dedicated thread until killed; returns
-/// the thread's metrics and tracer for the shutdown merge.
-fn actor_thread<M: KernelMsg + Send + 'static>(
+/// A worker's private observability: metrics for every actor it runs and
+/// the folded tracers of the actors that retired on it.
+struct WorkerSinks {
+    metrics: Metrics,
+    retired: Tracer,
+}
+
+/// One pool worker: runs ready actors until shutdown, then returns its
+/// sinks for the shutdown merge.
+fn worker_loop<M: KernelMsg + Send + 'static>(
     shared: Arc<Shared<M>>,
-    id: ActorId,
-    mut actor: Box<dyn Actor<M> + Send>,
-    rx: Receiver<Envelope<M>>,
-    gauges: Arc<MailboxGauges>,
-) -> (Metrics, Tracer) {
-    let clock_tx = shared.clock_tx.clone();
-    let seed = shared
-        .cfg
-        .seed
-        .wrapping_add(u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let obs = shared.cfg.obs.clone();
+    index: usize,
+    of: usize,
+) -> WorkerSinks {
     let flush_every = shared.cfg.metrics_flush;
-    let mut tc = ThreadCtx {
-        shared,
-        clock_tx,
-        rng: SmallRng::seed_from_u64(seed),
-        metrics: Metrics::new(),
-        tracer: Tracer::new(obs),
-        current_trace: TraceId::NONE,
+    let patience = if flush_every > Duration::ZERO {
+        flush_every
+    } else {
+        Duration::from_secs(1)
     };
-    // Stagger each thread's flush phase across the interval: hundreds of
-    // actors started in the same instant would otherwise all hit the
-    // shared sink's mutex in the same tick, which on a small host can
-    // stall time-critical actors (e.g. the master's lease keepalive).
-    let phase = flush_every.mul_f64(f64::from(id.0 % 64) / 64.0);
+    let mut sinks = WorkerSinks {
+        metrics: Metrics::new(),
+        retired: Tracer::new(shared.cfg.obs.clone()),
+    };
+    let mut batch = Vec::with_capacity(TURN_BATCH);
+    // Stagger the workers' flush phases across the interval so they do
+    // not all take the shared sink's mutex in the same instant.
+    let phase = flush_every.mul_f64(index as f64 / of.max(1) as f64);
     let mut last_flush = Instant::now().checked_sub(phase).unwrap_or_else(Instant::now);
-    while let Ok(env) = rx.recv() {
-        gauges.on_pop();
-        match env {
-            Envelope::Start { trace } => {
-                tc.current_trace = trace;
-                actor.on_start(&mut Ctx::for_live(&mut tc, id));
-            }
-            Envelope::Msg { from, msg, trace } => {
-                tc.current_trace = trace;
-                actor.on_message(&mut Ctx::for_live(&mut tc, id), from, msg);
-            }
-            Envelope::Timer { tag } => {
-                // Like the kernel: timer-driven activity has no inherited
-                // causal context unless the actor re-establishes it.
-                tc.current_trace = TraceId::NONE;
-                actor.on_timer(&mut Ctx::for_live(&mut tc, id), tag);
-            }
-            Envelope::Kill => break,
+    loop {
+        match shared.ready.pop(patience) {
+            Next::Run(cell) => run_turn(&shared, &cell, &mut sinks, &mut batch),
+            Next::Idle => {}
+            Next::Stop => return sinks,
         }
-        // Periodic flush: fold this thread's private metrics into the
+        // Periodic flush: fold this worker's private metrics into the
         // runtime-global sink so live scrapes see near-current data
         // instead of waiting for the shutdown merge. Safe because actor
         // code only uses additive instruments (counters, gauge deltas,
         // histograms, windows) whose merge is take-and-sum.
         if flush_every > Duration::ZERO && last_flush.elapsed() >= flush_every {
-            let m = std::mem::take(&mut tc.metrics);
-            tc.shared.metrics.lock().unwrap().merge(&m);
+            let m = std::mem::take(&mut sinks.metrics);
+            shared.metrics.lock().unwrap().merge(&m);
             last_flush = Instant::now();
         }
     }
-    (tc.metrics, tc.tracer)
 }
 
-/// The live backend of a [`Ctx`]: one per actor thread, owning that
-/// thread's RNG, metrics, and tracer.
-struct ThreadCtx<M: KernelMsg + Send + 'static> {
-    shared: Arc<Shared<M>>,
-    clock_tx: Sender<ClockCmd<M>>,
-    rng: SmallRng,
-    metrics: Metrics,
-    tracer: Tracer,
-    current_trace: TraceId,
+/// Runs one turn of `cell`: up to [`TURN_BATCH`] envelopes, then requeue,
+/// park idle, or retire the actor if its mailbox was closed and drained.
+fn run_turn<M: KernelMsg + Send + 'static>(
+    shared: &Arc<Shared<M>>,
+    cell: &Cell<M>,
+    sinks: &mut WorkerSinks,
+    batch: &mut Vec<Envelope<M>>,
+) {
+    cell.mailbox.take_batch(TURN_BATCH, batch);
+    {
+        let mut body = cell.body.lock().unwrap();
+        if let Some(ActorBody { actor, state }) = body.as_mut() {
+            for env in batch.drain(..) {
+                let mut tc = TurnCtx {
+                    shared,
+                    metrics: &mut sinks.metrics,
+                    state,
+                };
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    dispatch(actor.as_mut(), &mut tc, cell.id, env)
+                }));
+                if let Err(payload) = run {
+                    // The actor is dead from here on: later sends to it
+                    // count `net.to_dead`, and shutdown re-raises.
+                    shared.panic.lock().unwrap().get_or_insert(payload);
+                    shared.kill(cell.id);
+                    cell.mailbox.discard();
+                    break;
+                }
+            }
+        }
+        batch.clear();
+    }
+    match cell.mailbox.end_turn() {
+        TurnEnd::Idle => {}
+        TurnEnd::Again => shared.ready.push(Arc::clone(cell)),
+        TurnEnd::Closed => {
+            // Retire: drop the actor and free its mailbox buffer; only the
+            // tracer's output outlives it, in this worker's sink.
+            cell.mailbox.discard();
+            if let Some(body) = cell.body.lock().unwrap().take() {
+                sinks.retired.absorb(body.state.tracer);
+            }
+        }
+    }
 }
 
-impl<M: KernelMsg + Send + 'static> LiveCtxOps<M> for ThreadCtx<M> {
+/// Hands one envelope to the actor's matching handler.
+fn dispatch<M: KernelMsg + Send + 'static>(
+    actor: &mut (dyn Actor<M> + Send),
+    tc: &mut TurnCtx<'_, M>,
+    id: ActorId,
+    env: Envelope<M>,
+) {
+    match env {
+        Envelope::Start { trace } => {
+            tc.state.current_trace = trace;
+            actor.on_start(&mut Ctx::for_live(tc, id));
+        }
+        Envelope::Msg { from, msg, trace } => {
+            tc.state.current_trace = trace;
+            actor.on_message(&mut Ctx::for_live(tc, id), from, msg);
+        }
+        Envelope::Timer { tag } => {
+            // Like the kernel: timer-driven activity has no inherited
+            // causal context unless the actor re-establishes it.
+            tc.state.current_trace = TraceId::NONE;
+            actor.on_timer(&mut Ctx::for_live(tc, id), tag);
+        }
+    }
+}
+
+/// The live backend of a [`Ctx`] for one handler call: the running
+/// worker's metrics plus the actor's own RNG, tracer and trace.
+struct TurnCtx<'a, M: KernelMsg + Send + 'static> {
+    shared: &'a Shared<M>,
+    metrics: &'a mut Metrics,
+    state: &'a mut ActorState,
+}
+
+impl<M: KernelMsg + Send + 'static> LiveCtxOps<M> for TurnCtx<'_, M> {
     fn now(&self) -> SimTime {
         self.shared.now()
     }
@@ -462,7 +614,7 @@ impl<M: KernelMsg + Send + 'static> LiveCtxOps<M> for ThreadCtx<M> {
     fn send(&mut self, from: ActorId, to: ActorId, msg: M, extra: SimDuration, trace: TraceId) {
         self.metrics.count("net.sent", 1);
         if extra > SimDuration::ZERO {
-            let _ = self.clock_tx.send(ClockCmd::DelayedSend {
+            let _ = self.shared.clock_tx.send(ClockCmd::DelayedSend {
                 from,
                 to,
                 msg,
@@ -471,19 +623,20 @@ impl<M: KernelMsg + Send + 'static> LiveCtxOps<M> for ThreadCtx<M> {
             });
             return;
         }
-        match self.shared.push_envelope(to, Envelope::Msg { from, msg, trace }) {
-            PushOutcome::Sent => {}
-            PushOutcome::SentParked => self.metrics.count("rt.mailbox_parked", 1),
-            PushOutcome::Dead => self.metrics.count("net.to_dead", 1),
+        // A worker never parks: at the bound it overruns and counts it.
+        match self.shared.deliver(to, Envelope::Msg { from, msg, trace }, AtBound::Overrun) {
+            Ok(PushOutcome::Sent) | Err(_) => {}
+            Ok(PushOutcome::SentParked) => self.metrics.count("rt.mailbox_parked", 1),
+            Ok(PushOutcome::Dead) => self.metrics.count("net.to_dead", 1),
         }
     }
 
     fn timer(&mut self, actor: ActorId, delay: SimDuration, tag: u64) {
-        let _ = self.clock_tx.send(ClockCmd::Timer { actor, delay, tag });
+        let _ = self.shared.clock_tx.send(ClockCmd::Timer { actor, delay, tag });
     }
 
     fn spawn(&mut self, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>) -> ActorId {
-        self.shared.spawn(machine, actor, self.current_trace)
+        self.shared.spawn(machine, actor, self.state.current_trace)
     }
 
     fn kill(&mut self, id: ActorId) {
@@ -550,47 +703,47 @@ impl<M: KernelMsg + Send + 'static> LiveCtxOps<M> for ThreadCtx<M> {
     }
 
     fn start_flow(&mut self, owner: ActorId, spec: FlowSpec) {
-        let _ = self.clock_tx.send(ClockCmd::StartFlow { owner, spec });
+        let _ = self.shared.clock_tx.send(ClockCmd::StartFlow { owner, spec });
     }
 
     fn cancel_flows_of(&mut self, owner: ActorId) {
-        let _ = self.clock_tx.send(ClockCmd::CancelFlows { owner });
+        let _ = self.shared.clock_tx.send(ClockCmd::CancelFlows { owner });
     }
 
     fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
+        &mut self.state.rng
     }
 
     fn metrics(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        self.metrics
     }
 
     fn trace_id(&self) -> TraceId {
-        self.current_trace
+        self.state.current_trace
     }
 
     fn set_trace(&mut self, trace: TraceId) {
-        self.current_trace = trace;
+        self.state.current_trace = trace;
     }
 
     fn trace_event_as(&mut self, actor: ActorId, trace: TraceId, event: TraceEvent) {
         let t = self.shared.now().as_secs_f64();
-        self.tracer.record(t, actor.0, trace, event);
+        self.state.tracer.record(t, actor.0, trace, event);
     }
 
     fn span(&mut self, actor: ActorId, kind: SpanKind, wall_s: f64) {
         let t = self.shared.now().as_secs_f64();
-        let trace = self.current_trace;
-        self.tracer.span(t, actor.0, trace, kind, wall_s);
+        let trace = self.state.current_trace;
+        self.state.tracer.span(t, actor.0, trace, kind, wall_s);
     }
 
     fn flight_dump(&mut self, reason: &'static str) {
         let t = self.shared.now().as_secs_f64();
-        self.tracer.dump(t, reason);
+        self.state.tracer.dump(t, reason);
     }
 
     fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.state.tracer
     }
 }
 
@@ -611,15 +764,21 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
     let sample_every = shared.cfg.metrics_flush;
     let mut last_sample = Instant::now();
 
-    let deliver = |shared: &Arc<Shared<M>>,
-                       backlog: &mut Vec<(ActorId, Envelope<M>)>,
-                       to: ActorId,
-                       env: Envelope<M>| {
-        match shared.push_envelope(to, env) {
-            PushOutcome::Sent | PushOutcome::SentParked => {}
-            PushOutcome::Dead => {}
+    // Never blocks: an envelope refused by a full mailbox joins the
+    // backlog and is retried next tick.
+    let deliver = |backlog: &mut Vec<(ActorId, Envelope<M>)>, to: ActorId, env: Envelope<M>| {
+        if let Err(env) = shared.deliver(to, env, AtBound::Refuse) {
+            shared.metrics.lock().unwrap().count("rt.clock_parked", 1);
+            backlog.push((to, env));
         }
-        let _ = backlog; // retried entries are re-pushed by the caller
+    };
+    let flow_done = |done: FlowDone| {
+        let env = Envelope::Msg {
+            from: done.owner,
+            msg: M::flow_done(done.tag, done.failed),
+            trace: TraceId::NONE,
+        };
+        (done.owner, env)
     };
 
     loop {
@@ -638,8 +797,7 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
             Err(RecvTimeoutError::Disconnected) => return,
         };
         // Drain whatever queued up behind the first command.
-        loop {
-            let Some(cmd) = first.take() else { break };
+        while let Some(cmd) = first.take() {
             let now = shared.now();
             match cmd {
                 ClockCmd::Shutdown => shutdown = true,
@@ -654,25 +812,17 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                     trace,
                 } => wheel.arm(now, delay, Due::Send { from, to, msg, trace }),
                 ClockCmd::StartFlow { owner, spec } => {
+                    // A degenerate (zero-size) flow completes immediately.
                     if let Some(done) = flows.start(now, owner, spec) {
-                        // Degenerate (zero-size) flow: completes immediately.
-                        let env = Envelope::Msg {
-                            from: done.owner,
-                            msg: M::flow_done(done.tag, done.failed),
-                            trace: TraceId::NONE,
-                        };
-                        deliver(&shared, &mut backlog, done.owner, env);
+                        let (to, env) = flow_done(done);
+                        deliver(&mut backlog, to, env);
                     }
                 }
                 ClockCmd::CancelFlows { owner } => flows.cancel_owned_by(now, owner),
                 ClockCmd::FailMachine { m } => {
                     for done in flows.fail_machine(now, m) {
-                        let env = Envelope::Msg {
-                            from: done.owner,
-                            msg: M::flow_done(done.tag, done.failed),
-                            trace: TraceId::NONE,
-                        };
-                        deliver(&shared, &mut backlog, done.owner, env);
+                        let (to, env) = flow_done(done);
+                        deliver(&mut backlog, to, env);
                     }
                 }
                 ClockCmd::SetIoSpeed { m, factor } => flows.set_speed(now, m, factor),
@@ -684,13 +834,10 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
         }
 
         let now = shared.now();
-        // Retry deliveries parked on full mailboxes.
-        if !backlog.is_empty() {
-            let pending = std::mem::take(&mut backlog);
-            for (to, env) in pending {
-                if let Err(env) = shared.try_deliver(to, env) {
-                    backlog.push((to, env));
-                }
+        // Retry deliveries refused by full mailboxes.
+        for (to, env) in std::mem::take(&mut backlog) {
+            if let Err(env) = shared.deliver(to, env, AtBound::Refuse) {
+                backlog.push((to, env));
             }
         }
         for due in wheel.expire(now) {
@@ -700,18 +847,11 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                     from, to, msg, trace,
                 } => (to, Envelope::Msg { from, msg, trace }),
             };
-            if let Err(env) = shared.try_deliver(to, env) {
-                shared.metrics.lock().unwrap().count("rt.clock_parked", 1);
-                backlog.push((to, env));
-            }
+            deliver(&mut backlog, to, env);
         }
         for done in flows.advance(now) {
-            let env = Envelope::Msg {
-                from: done.owner,
-                msg: M::flow_done(done.tag, done.failed),
-                trace: TraceId::NONE,
-            };
-            deliver(&shared, &mut backlog, done.owner, env);
+            let (to, env) = flow_done(done);
+            deliver(&mut backlog, to, env);
         }
         // Queue pressure is a time series, not a shutdown summary: sample
         // depths on the flush cadence so a mid-run spike is visible in the
@@ -729,10 +869,12 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
 pub struct LiveRuntime<M: KernelMsg + Send + 'static> {
     shared: Arc<Shared<M>>,
     clock: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<WorkerSinks>>,
 }
 
 impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
-    /// Boots the runtime: machine table, clock thread, no actors yet.
+    /// Boots the runtime: machine table, clock thread, worker pool, no
+    /// actors yet.
     pub fn new(cfg: RuntimeConfig) -> Self {
         let (clock_tx, clock_rx) = std::sync::mpsc::channel();
         let machines = cfg
@@ -745,17 +887,23 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
                 procs: BTreeMap::new(),
             })
             .collect();
+        let n_workers = match cfg.workers {
+            0 => std::thread::available_parallelism().map_or(2, |n| n.get()),
+            n => n,
+        };
         let shared = Arc::new(Shared {
             epoch: Instant::now(),
             cfg,
             slots: RwLock::new(Vec::new()),
             machines: RwLock::new(machines),
             clock_tx,
+            ready: RunQueue::new(),
             metrics: Mutex::new(Metrics::new()),
             tracer: Mutex::new(Tracer::default()),
             hub: Mutex::new(None),
             remote_router: RwLock::new(None),
             remote_alive: RwLock::new(None),
+            panic: Mutex::new(None),
         });
         let clock = {
             let shared = Arc::clone(&shared);
@@ -764,9 +912,19 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
                 .spawn(move || clock_thread(shared, clock_rx))
                 .expect("spawn clock thread")
         };
+        let workers = (0..n_workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("fuxi-worker-{i}"))
+                    .spawn(move || worker_loop(shared, i, n_workers))
+                    .expect("spawn pool worker")
+            })
+            .collect();
         LiveRuntime {
             shared,
             clock: Some(clock),
+            workers,
         }
     }
 
@@ -775,22 +933,18 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
         self.shared.now()
     }
 
-    /// Spawns an actor on its own thread, optionally placed on a machine.
+    /// Spawns an actor on the worker pool, optionally placed on a machine.
     pub fn spawn(&self, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>) -> ActorId {
         self.shared.spawn(machine, actor, TraceId::NONE)
     }
 
-    /// Injects a message from outside the world under `trace`.
+    /// Injects a message from outside the world under `trace`. Blocks
+    /// while the destination's mailbox is full.
     pub fn send_external_traced(&self, to: ActorId, msg: M, trace: TraceId) {
         self.shared.metrics.lock().unwrap().count("net.sent", 1);
-        let _ = self.shared.push_envelope(
-            to,
-            Envelope::Msg {
-                from: ActorId::NONE,
-                msg,
-                trace,
-            },
-        );
+        let from = ActorId::NONE;
+        self.shared
+            .deliver_blocking(to, Envelope::Msg { from, msg, trace });
     }
 
     /// Injects an untraced external message.
@@ -799,42 +953,26 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
     }
 
     /// Delivers a message that arrived from a peer process, preserving the
-    /// remote sender's address. The node supervisor's inbound path.
+    /// remote sender's address. The node supervisor's inbound path; blocks
+    /// while the destination's mailbox is full.
     pub fn route_in(&self, from: ActorId, to: ActorId, msg: M) {
-        self.shared.metrics.lock().unwrap().count("net.remote_in", 1);
-        let _ = self.shared.push_envelope(
-            to,
-            Envelope::Msg {
-                from,
-                msg,
-                trace: TraceId::NONE,
-            },
-        );
+        self.shared.route_in(from, to, msg);
     }
 
     /// A detached [`LiveRuntime::route_in`] handle the node supervisor's
     /// reader threads can own without borrowing the runtime.
     pub fn remote_injector(&self) -> Arc<dyn Fn(ActorId, ActorId, M) + Send + Sync> {
         let shared = Arc::clone(&self.shared);
-        Arc::new(move |from, to, msg| {
-            shared.metrics.lock().unwrap().count("net.remote_in", 1);
-            let _ = shared.push_envelope(
-                to,
-                Envelope::Msg {
-                    from,
-                    msg,
-                    trace: TraceId::NONE,
-                },
-            );
-        })
+        Arc::new(move |from, to, msg| shared.route_in(from, to, msg))
     }
 
-    /// Terminates one actor (its thread exits after draining its mailbox).
+    /// Terminates one actor: it handles what was queued before the kill,
+    /// then is dropped.
     pub fn kill_actor(&self, id: ActorId) {
         self.shared.kill(id);
     }
 
-    /// `true` while `id`'s thread is accepting messages.
+    /// `true` while `id` is accepting messages.
     pub fn alive(&self, id: ActorId) -> bool {
         self.shared.alive(id)
     }
@@ -865,9 +1003,8 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
             let slots = self.shared.slots.read().unwrap();
             slots
                 .iter()
-                .enumerate()
-                .filter(|(_, s)| s.alive && s.machine == Some(m))
-                .map(|(i, _)| ActorId(self.shared.cfg.actor_base + i as u32))
+                .filter(|c| c.machine == Some(m))
+                .map(|c| c.id)
                 .collect()
         };
         for id in victims {
@@ -925,45 +1062,53 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
     }
 
     /// A clone of the runtime-global metrics as of now. With periodic
-    /// per-thread flushes (`metrics_flush`) this is a near-live picture;
-    /// only the last sub-interval of each actor thread is missing.
+    /// per-worker flushes (`metrics_flush`) this is a near-live picture;
+    /// only the last sub-interval of each worker is missing.
     pub fn metrics_snapshot(&self) -> Metrics {
         self.shared.metrics.lock().unwrap().clone()
     }
 
-    /// Stops everything: kills the actors, joins every thread, and merges
-    /// the per-thread metrics and tracers into the runtime-global pair.
+    /// Stops everything: closes every mailbox (queued mail still drains),
+    /// stops the clock, joins the pool, and merges the per-worker metrics
+    /// and the per-actor tracers into the runtime-global pair. Re-raises
+    /// the first handler panic, so a crashed actor cannot vanish into a
+    /// clean shutdown.
     pub fn shutdown(mut self) -> (Metrics, Tracer) {
         self.record_mailbox_gauges();
-        let handles: Vec<Option<ActorJoin>> = {
-            let mut slots = self.shared.slots.write().unwrap();
-            slots
-                .iter_mut()
-                .map(|s| {
-                    s.alive = false;
-                    if let Some(tx) = s.sender.take() {
-                        let _ = tx.push_nonblocking(Envelope::Kill);
-                    }
-                    s.handle.take()
-                })
-                .collect()
-        };
+        let cells: Vec<Cell<M>> = self.shared.slots.read().unwrap().clone();
+        for cell in &cells {
+            if cell.mailbox.close() == Some(true) {
+                self.shared.ready.push(Arc::clone(cell));
+            }
+        }
         let _ = self.shared.clock_tx.send(ClockCmd::Shutdown);
         if let Some(clock) = self.clock.take() {
             let _ = clock.join();
         }
-        let mut metrics = std::mem::take(&mut *self.shared.metrics.lock().unwrap());
-        let mut tracer = std::mem::take(&mut *self.shared.tracer.lock().unwrap());
-        for h in handles.into_iter().flatten() {
-            // A panicked actor thread must not vanish into a clean
-            // shutdown — re-raise so callers (tests, bench_live) fail.
-            match h.join() {
-                Ok((m, t)) => {
-                    metrics.merge(&m);
-                    tracer.absorb(t);
-                }
+        self.shared.ready.stop();
+        let mut sinks = Vec::new();
+        for w in self.workers.drain(..) {
+            match w.join() {
+                Ok(s) => sinks.push(s),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
+        }
+        let mut metrics = std::mem::take(&mut *self.shared.metrics.lock().unwrap());
+        let mut tracer = std::mem::take(&mut *self.shared.tracer.lock().unwrap());
+        for s in sinks {
+            metrics.merge(&s.metrics);
+            tracer.absorb(s.retired);
+        }
+        // Actors spawned while the pool drained were never closed.
+        for cell in self.shared.slots.read().unwrap().iter() {
+            if let Some(body) = cell.body.lock().unwrap().take() {
+                tracer.absorb(body.state.tracer);
+            }
+        }
+        tracer.sort_by_time();
+        let panic = self.shared.panic.lock().unwrap().take();
+        if let Some(panic) = panic {
+            std::panic::resume_unwind(panic);
         }
         (metrics, tracer)
     }

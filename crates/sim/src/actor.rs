@@ -82,7 +82,7 @@ pub trait Actor<M: KernelMsg> {
 
 /// The engine-facing half of a live (wall-clock, multi-threaded) context.
 ///
-/// `fuxi-rt` implements this for its per-actor thread state; the kernel
+/// `fuxi-rt` implements this once per handler call on its worker pool; the kernel
 /// never does — the simulated side dispatches straight into [`WorldCore`]
 /// so the hot path stays a single predictable branch.
 ///
@@ -95,7 +95,7 @@ pub trait LiveCtxOps<M: KernelMsg> {
     fn send(&mut self, from: ActorId, to: ActorId, msg: M, extra: SimDuration, trace: TraceId);
     /// Arms a timer firing `on_timer(tag)` on `actor` after `delay`.
     fn timer(&mut self, actor: ActorId, delay: SimDuration, tag: u64);
-    /// Spawns a new actor thread, optionally placed on a machine.
+    /// Spawns a new actor, optionally placed on a machine.
     fn spawn(&mut self, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>) -> ActorId;
     /// Terminates `id`.
     fn kill(&mut self, id: ActorId);
@@ -121,9 +121,9 @@ pub trait LiveCtxOps<M: KernelMsg> {
     fn start_flow(&mut self, owner: ActorId, spec: FlowSpec);
     /// Cancels all incomplete flows owned by `owner`.
     fn cancel_flows_of(&mut self, owner: ActorId);
-    /// Per-thread RNG.
+    /// The acting actor's own RNG.
     fn rng(&mut self) -> &mut SmallRng;
-    /// Per-thread metrics sink (merged into the runtime's at shutdown).
+    /// The running worker's metrics sink (merged into the runtime's).
     fn metrics(&mut self) -> &mut Metrics;
     /// The causal trace of the handler currently running.
     fn trace_id(&self) -> TraceId;
@@ -135,7 +135,7 @@ pub trait LiveCtxOps<M: KernelMsg> {
     fn span(&mut self, actor: ActorId, kind: SpanKind, wall_s: f64);
     /// Forces a flight-recorder dump.
     fn flight_dump(&mut self, reason: &'static str);
-    /// Read access to the per-thread tracer.
+    /// Read access to the acting actor's tracer.
     fn tracer(&self) -> &Tracer;
 }
 
@@ -143,7 +143,7 @@ pub trait LiveCtxOps<M: KernelMsg> {
 pub(crate) enum CtxBackend<'a, M: KernelMsg> {
     /// The deterministic discrete-event kernel.
     Sim(&'a mut WorldCore<M>),
-    /// A live wall-clock runtime (one object per actor thread).
+    /// A live wall-clock runtime (one object per handler call).
     Live(&'a mut dyn LiveCtxOps<M>),
 }
 
@@ -354,7 +354,7 @@ impl<'a, M: KernelMsg> Ctx<'a, M> {
         }
     }
 
-    /// Deterministic per-world RNG (per-thread in the live runtime).
+    /// Deterministic per-world RNG (per-actor in the live runtime).
     pub fn rng(&mut self) -> &mut SmallRng {
         match &mut self.backend {
             CtxBackend::Sim(core) => &mut core.rng,
@@ -362,7 +362,7 @@ impl<'a, M: KernelMsg> Ctx<'a, M> {
         }
     }
 
-    /// The world's metrics sink (per-thread live, merged at shutdown).
+    /// The world's metrics sink (per-worker live, merged at shutdown).
     pub fn metrics(&mut self) -> &mut Metrics {
         match &mut self.backend {
             CtxBackend::Sim(core) => &mut core.metrics,

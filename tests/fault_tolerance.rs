@@ -245,3 +245,71 @@ fn scripted_fuximaster_kill_via_fault_plan() {
     assert!(ok);
     assert_eq!(c.world.metrics().counter("fault.kill_actor"), 1);
 }
+
+/// The app description `Cluster::submit` builds for `desc`.
+fn app_desc(desc: &fuxi::job::JobDesc) -> fuxi::proto::msg::AppDescription {
+    let opts = SubmitOpts::default();
+    fuxi::proto::msg::AppDescription {
+        app_type: "fuxi_job".to_owned(),
+        quota_group: opts.quota_group,
+        priority: opts.priority,
+        master_resource: fuxi::proto::ResourceVec::cores_mb(1, 2048),
+        master_package_mb: opts.master_package_mb,
+        payload: desc.to_json(),
+    }
+}
+
+#[test]
+fn resubmitting_a_finished_job_does_not_run_it_again() {
+    let mut c = cluster(31, 10, false);
+    let desc = job(6, 2, 5.0);
+    let j = c.submit(&desc, &SubmitOpts::default());
+    let (ok, _) = c
+        .run_until_job_done(j, SimTime::from_secs(600))
+        .expect("job finishes");
+    assert!(ok);
+    // A client whose JobAccepted was lost resubmits after the finish.
+    let fm = c.current_master().expect("primary elected");
+    let client = c.client;
+    c.world.send_external(
+        fm,
+        fuxi::proto::Msg::SubmitJob {
+            job: j,
+            desc: app_desc(&desc),
+            client,
+        },
+    );
+    c.run_for(SimDuration::from_secs(60));
+    let m = c.world.metrics();
+    assert_eq!(m.counter("fm.resubmit_after_finish"), 1);
+    assert_eq!(m.counter("fm.jobs_submitted"), 1, "one run");
+    assert_eq!(m.counter("fm.jobs_finished"), 1, "one finish");
+    let launches = m.histogram("fm.jm_start_overhead_s").map_or(0, |h| h.count());
+    assert_eq!(launches, 1, "exactly one JobMaster launch");
+}
+
+#[test]
+fn stale_app_job_finished_is_ignored_mid_run() {
+    let mut c = cluster(32, 10, false);
+    let j = c.submit(&job(12, 2, 10.0), &SubmitOpts::default());
+    c.run_for(SimDuration::from_secs(12));
+    assert!(c.job_done(j).is_none(), "job still running");
+    // A finish report from a run the master no longer tracks for this job.
+    let fm = c.current_master().expect("primary elected");
+    c.world.send_external(
+        fm,
+        fuxi::proto::Msg::JobFinished {
+            job: j,
+            app: fuxi::proto::AppId(u32::MAX),
+            success: false,
+            message: "stale run".into(),
+        },
+    );
+    let (ok, _) = c
+        .run_until_job_done(j, SimTime::from_secs(600))
+        .expect("the current run still completes");
+    assert!(ok, "the stale report must not fail the job");
+    let m = c.world.metrics();
+    assert_eq!(m.counter("fm.stale_job_finished"), 1);
+    assert_eq!(m.counter("fm.jobs_finished"), 1);
+}
