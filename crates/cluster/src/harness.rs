@@ -8,7 +8,7 @@ use fuxi_job::worker::TaskWorker;
 use fuxi_job::JobDesc;
 use fuxi_proto::msg::AppDescription;
 use fuxi_proto::topology::{MachineSpec, Topology, TopologyBuilder};
-use fuxi_proto::{JobId, MachineId, Msg, Priority, QuotaGroupId};
+use fuxi_proto::{AppId, JobId, MachineId, Msg, Priority, QuotaGroupId};
 use fuxi_sim::{
     Actor, ActorId, Ctx, MachineConfig, NetConfig, SimDuration, SimTime, TraceId, TracerConfig,
     World, WorldConfig,
@@ -92,6 +92,8 @@ pub struct JobState {
     pub accepted: bool,
     /// Terminal state: (success, finish time, message).
     pub done: Option<(bool, f64, String)>,
+    /// The app whose run produced `done`.
+    pub finished_app: Option<AppId>,
 }
 
 /// Every job the client has seen, with its client-observed state.
@@ -155,17 +157,25 @@ impl Actor<Msg> for Client {
             }
             Msg::JobFinished {
                 job,
+                app,
                 success,
                 message,
-                ..
             } => {
                 // A finish also settles a submission whose JobAccepted was
                 // lost: resubmitting it would run the job again.
                 self.pending.remove(&job);
                 if let Some(st) = self.log.lock().unwrap().get_mut(&job) {
-                    if st.done.is_some() {
-                        self.dup_finishes.fetch_add(1, Ordering::Relaxed);
+                    match st.finished_app {
+                        // The master re-sent the outcome of the recorded
+                        // run (answering a late resubmission).
+                        Some(prev) if prev == app => return,
+                        // A second run of the job finished.
+                        Some(_) => {
+                            self.dup_finishes.fetch_add(1, Ordering::Relaxed);
+                        }
+                        None => {}
                     }
+                    st.finished_app = Some(app);
                     st.done = Some((success, ctx.now().as_secs_f64(), message));
                 }
             }
@@ -579,7 +589,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuxi_proto::AppId;
 
     /// Stands in for the master; counts the submissions it receives.
     struct SubmitCounter(Arc<AtomicU64>);
@@ -620,5 +629,40 @@ mod tests {
         naming.register(fuxi_apsara::naming::FUXI_MASTER, fm);
         world.run_until(SimTime::from_secs(5));
         assert_eq!(submits.load(Ordering::Relaxed), 0, "a finished job is never resubmitted");
+    }
+
+    #[test]
+    fn repeated_outcome_of_one_run_is_not_a_duplicate_finish() {
+        let mut world: World<Msg> = World::new(WorldConfig::uniform(2, 2, 1));
+        let log = ClientLog::default();
+        let dups = Arc::new(AtomicU64::new(0));
+        let c = Client::new(NameRegistry::new(), log.clone(), Arc::clone(&dups));
+        let client = world.spawn(None, Box::new(c));
+        let job = JobId(1);
+        let desc = AppDescription {
+            app_type: "fuxi_job".to_owned(),
+            quota_group: QuotaGroupId(0),
+            priority: Priority(0),
+            master_resource: fuxi_proto::ResourceVec::cores_mb(1, 2048),
+            master_package_mb: 0.0,
+            payload: String::new(),
+        };
+        world.send_external(client, Msg::SubmitJob { job, desc, client });
+        let finish = |app| Msg::JobFinished {
+            job,
+            app: AppId(app),
+            success: true,
+            message: String::new(),
+        };
+        // The master answers a late resubmission with the same outcome.
+        world.send_external(client, finish(1));
+        world.send_external(client, finish(1));
+        world.run_until(SimTime::from_secs(1));
+        assert_eq!(dups.load(Ordering::Relaxed), 0, "one run, told twice");
+        assert_eq!(log.lock().unwrap()[&job].finished_app, Some(AppId(1)));
+        // A second run under another app is a duplicate finish.
+        world.send_external(client, finish(2));
+        world.run_until(SimTime::from_secs(2));
+        assert_eq!(dups.load(Ordering::Relaxed), 1, "two runs finished");
     }
 }

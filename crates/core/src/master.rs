@@ -92,6 +92,10 @@ const TIMER_BATCH: u64 = 2;
 const TIMER_ROLLUP: u64 = 3;
 const TIMER_REBUILD_DONE: u64 = 4;
 const TIMER_METRICS: u64 = 5;
+/// How long a finished job's outcome is kept to answer resubmissions:
+/// clients retry unaccepted submissions every 2 s, so this covers many
+/// retries, each of which re-sends the outcome.
+const FINISHED_KEEP: SimDuration = SimDuration::from_secs(30);
 
 #[derive(Debug)]
 struct JobRuntime {
@@ -107,6 +111,15 @@ struct JobRuntime {
     launching: bool,
 }
 
+/// A job this master finished, kept to answer late resubmissions.
+#[derive(Debug)]
+struct FinishedJob {
+    app: AppId,
+    success: bool,
+    message: String,
+    at: SimTime,
+}
+
 /// The FuxiMaster actor. Spawn two (a pair) for hot-standby operation.
 pub struct FuxiMaster {
     cfg: MasterConfig,
@@ -119,9 +132,10 @@ pub struct FuxiMaster {
     blacklist: Option<ClusterBlacklist>,
     jobs: BTreeMap<JobId, JobRuntime>,
     app_to_job: BTreeMap<AppId, JobId>,
-    /// Jobs this master finished in its tenure, with their app: a late
-    /// resubmission of one (its JobAccepted was lost) must not run it again.
-    finished: BTreeMap<JobId, AppId>,
+    /// Jobs this master finished recently, with their outcome: a late
+    /// resubmission of one (its JobAccepted was lost) gets the outcome
+    /// again instead of a second run. Pruned after [`FINISHED_KEEP`].
+    finished: BTreeMap<JobId, FinishedJob>,
     next_app: u32,
     agents: Vec<Option<ActorId>>,
     am_addr: BTreeMap<AppId, ActorId>,
@@ -358,10 +372,20 @@ impl FuxiMaster {
         if self.jobs.contains_key(&job) {
             return; // duplicate submission
         }
-        if let Some(&app) = self.finished.get(&job) {
-            // Acknowledge, so the client stops retrying; never re-run.
+        if let Some(f) = self.finished.get(&job) {
+            // The client lost the JobAccepted and maybe the JobFinished too:
+            // send the outcome again (it settles the submission), never
+            // re-run the job.
             ctx.metrics().count("fm.resubmit_after_finish", 1);
-            ctx.send(client, Msg::JobAccepted { job, app });
+            ctx.send(
+                client,
+                Msg::JobFinished {
+                    job,
+                    app: f.app,
+                    success: f.success,
+                    message: f.message.clone(),
+                },
+            );
             return;
         }
         let app = AppId(self.next_app);
@@ -462,7 +486,15 @@ impl FuxiMaster {
             Some(_) => {}
         }
         let j = self.jobs.remove(&job).unwrap();
-        self.finished.insert(job, app);
+        self.finished.insert(
+            job,
+            FinishedJob {
+                app,
+                success,
+                message: message.clone(),
+                at: ctx.now(),
+            },
+        );
         ctx.set_trace(TraceId::from_job(job.0));
         ctx.trace(TraceEvent::JobFinished {
             job: job.0,
@@ -694,6 +726,7 @@ impl FuxiMaster {
 
     fn rollup(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
+        self.finished.retain(|_, f| now.since(f.at) < FINISHED_KEEP);
         if let Some(bl) = self.blacklist.as_mut() {
             let transitions = bl.sweep(now);
             self.apply_transitions(ctx, transitions);
@@ -823,7 +856,6 @@ impl FuxiMaster {
             let t = std::time::Instant::now();
             engine.node_up(machine, total);
             self.record_sched(ctx, t);
-            ctx.metrics().count("fm.agents_registered", 1);
         }
         // Tell a restarted agent what is on the books for its machine.
         let allocations = self.engine.as_ref().unwrap().allocations_on(machine);

@@ -78,8 +78,6 @@ pub struct RuntimeConfig {
     /// globally routable; ids outside this runtime's window go to the
     /// remote router (or count as dead when none is installed).
     pub actor_base: u32,
-    /// Worker threads in the pool; 0 means one per available core.
-    pub workers: usize,
 }
 
 /// Width of one node's actor-id window: ids `base .. base + 2^24` are
@@ -103,7 +101,6 @@ impl Default for RuntimeConfig {
             timer_tick: Duration::from_millis(2),
             metrics_flush: Duration::from_secs(1),
             actor_base: 0,
-            workers: 0,
         }
     }
 }
@@ -887,10 +884,7 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
                 procs: BTreeMap::new(),
             })
             .collect();
-        let n_workers = match cfg.workers {
-            0 => std::thread::available_parallelism().map_or(2, |n| n.get()),
-            n => n,
-        };
+        let n_workers = std::thread::available_parallelism().map_or(2, |n| n.get());
         let shared = Arc::new(Shared {
             epoch: Instant::now(),
             cfg,

@@ -16,7 +16,10 @@ use std::time::{Duration, Instant};
 #[test]
 fn agents_spawned_before_masters_register_soon_after_election() {
     const MACHINES: usize = 20;
-    let cfg = ClusterConfig::default();
+    let mut cfg = ClusterConfig::default();
+    // The master publishes its engine's capacity into the hub once per
+    // window; a short window makes the registration time readable.
+    cfg.master.metrics.window_s = 0.02;
     let topo = TopologyBuilder::new()
         .uniform(4, MACHINES / 4, cfg.machine_spec.clone())
         .build();
@@ -30,8 +33,6 @@ fn agents_spawned_before_masters_register_soon_after_election() {
         .collect();
     let rt: LiveRuntime<Msg> = LiveRuntime::new(RuntimeConfig {
         machines,
-        // Near-live metrics: the registration count is read mid-run.
-        metrics_flush: Duration::from_millis(5),
         ..RuntimeConfig::default()
     });
     let naming = NameRegistry::new();
@@ -53,7 +54,15 @@ fn agents_spawned_before_masters_register_soon_after_election() {
         rt.spawn(Some(m.0), Box::new(agent));
     }
     let hub = fuxi_obs::MetricsHub::new(cfg.master.metrics.window_s);
-    let fm = FuxiMaster::new(cfg.master.clone(), topo.clone(), naming.clone(), store, lock, hub);
+    let fm = FuxiMaster::new(
+        cfg.master.clone(),
+        topo.clone(),
+        naming.clone(),
+        store,
+        lock,
+        hub.clone(),
+    );
+    let all_cpu: u64 = topo.machines().map(|m| topo.spec(m).resources.cpu_milli()).sum();
     rt.spawn(None, Box::new(fm));
 
     let start = Instant::now();
@@ -62,12 +71,13 @@ fn agents_spawned_before_masters_register_soon_after_election() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let elected = Instant::now();
-    let registered = || rt.metrics_snapshot().counter("fm.agents_registered");
-    while registered() < MACHINES as u64 && elected.elapsed() < Duration::from_secs(3) {
-        std::thread::sleep(Duration::from_millis(5));
+    // Registered capacity, as the primary's engine last reported it.
+    let registered_cpu = || hub.update(|v| v.rollup.total_cpu_milli);
+    while registered_cpu() < all_cpu && elected.elapsed() < Duration::from_secs(3) {
+        std::thread::sleep(Duration::from_millis(2));
     }
     let took = elected.elapsed();
-    assert_eq!(registered(), MACHINES as u64, "every agent registers");
+    assert_eq!(registered_cpu(), all_cpu, "every agent registers");
     assert!(
         took < Duration::from_millis(500),
         "agents registered {took:?} after the election (heartbeat-late)"

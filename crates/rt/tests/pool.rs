@@ -22,9 +22,8 @@ impl KernelMsg for TMsg {
     }
 }
 
-fn pool(workers: usize, mailbox_capacity: usize) -> LiveRuntime<TMsg> {
+fn pool(mailbox_capacity: usize) -> LiveRuntime<TMsg> {
     LiveRuntime::new(RuntimeConfig {
-        workers,
         mailbox_capacity,
         ..RuntimeConfig::default()
     })
@@ -110,8 +109,8 @@ impl Actor<TMsg> for Burst {
 }
 
 #[test]
-fn per_source_fifo_holds_for_500_actors_on_two_workers() {
-    let rt = pool(2, 8192);
+fn per_source_fifo_holds_for_500_actors_on_the_pool() {
+    let rt = pool(8192);
     let in_order = Arc::new(AtomicU64::new(0));
     let out_of_order = Arc::new(AtomicU64::new(0));
     let sinks: Vec<ActorId> = (0..4)
@@ -156,7 +155,7 @@ impl Actor<TMsg> for Fragile {
 
 #[test]
 fn handler_panic_kills_only_its_actor_and_shutdown_reraises_it() {
-    let rt = pool(2, 8192);
+    let rt = pool(8192);
     let fragile_seen = Arc::new(AtomicU64::new(0));
     let fragile = rt.spawn(None, Box::new(Fragile(Arc::clone(&fragile_seen))));
     let other_seen = Arc::new(AtomicU64::new(0));
@@ -183,7 +182,7 @@ fn handler_panic_kills_only_its_actor_and_shutdown_reraises_it() {
 
 #[test]
 fn killed_actor_drains_mail_queued_before_the_kill() {
-    let rt = pool(2, 8192);
+    let rt = pool(8192);
     let gate = Arc::new(AtomicBool::new(false));
     let seen = Arc::new(AtomicU64::new(0));
     let a = rt.spawn(
@@ -208,8 +207,8 @@ fn killed_actor_drains_mail_queued_before_the_kill() {
 
 #[test]
 fn blocked_external_senders_outnumbering_workers_cannot_deadlock() {
-    let workers = 2;
-    let rt = Arc::new(pool(workers, 4));
+    let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let rt = Arc::new(pool(4));
     let gate = Arc::new(AtomicBool::new(false));
     let seen = Arc::new(AtomicU64::new(0));
     let target = rt.spawn(
@@ -277,7 +276,6 @@ impl Actor<TMsg> for Recorder {
 #[test]
 fn worker_metrics_flush_while_running_and_merge_at_shutdown() {
     let rt = LiveRuntime::new(RuntimeConfig {
-        workers: 2,
         metrics_flush: Duration::from_millis(5),
         ..RuntimeConfig::default()
     });

@@ -38,10 +38,7 @@ fn os_threads() -> u64 {
 
 #[test]
 fn spawning_500_actors_adds_no_os_threads() {
-    let rt: LiveRuntime<Tick> = LiveRuntime::new(RuntimeConfig {
-        workers: 2,
-        ..RuntimeConfig::default()
-    });
+    let rt: LiveRuntime<Tick> = LiveRuntime::new(RuntimeConfig::default());
     let before = os_threads();
     let started = Arc::new(AtomicU64::new(0));
     for _ in 0..500 {

@@ -3,9 +3,11 @@
 //! recovery, FuxiAgent worker adoption, node death, launch failures and
 //! straggler backups.
 
-use fuxi::cluster::{Cluster, ClusterConfig, SubmitOpts};
+use fuxi::cluster::{Client, ClientLog, Cluster, ClusterConfig, SubmitOpts};
 use fuxi::sim::{Fault, SimDuration, SimTime};
 use fuxi::workloads::mapreduce::{wordcount_job, MapReduceParams};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn cluster(seed: u64, machines: usize, standby: bool) -> Cluster {
     Cluster::new(ClusterConfig {
@@ -264,28 +266,36 @@ fn resubmitting_a_finished_job_does_not_run_it_again() {
     let mut c = cluster(31, 10, false);
     let desc = job(6, 2, 5.0);
     let j = c.submit(&desc, &SubmitOpts::default());
-    let (ok, _) = c
+    let (ok, done_at) = c
         .run_until_job_done(j, SimTime::from_secs(600))
         .expect("job finishes");
     assert!(ok);
-    // A client whose JobAccepted was lost resubmits after the finish.
-    let fm = c.current_master().expect("primary elected");
-    let client = c.client;
+    // A client that lost both the JobAccepted and the JobFinished: it
+    // still holds the job as pending and resubmits it.
+    let log = ClientLog::default();
+    let dups = Arc::new(AtomicU64::new(0));
+    let lost = Client::new(c.naming.clone(), log.clone(), Arc::clone(&dups));
+    let lost = c.world.spawn(None, Box::new(lost));
     c.world.send_external(
-        fm,
+        lost,
         fuxi::proto::Msg::SubmitJob {
             job: j,
             desc: app_desc(&desc),
-            client,
+            client: lost,
         },
     );
-    c.run_for(SimDuration::from_secs(60));
+    c.run_for(SimDuration::from_secs(20));
     let m = c.world.metrics();
-    assert_eq!(m.counter("fm.resubmit_after_finish"), 1);
+    assert_eq!(m.counter("fm.resubmit_after_finish"), 1, "answered, then settled");
     assert_eq!(m.counter("fm.jobs_submitted"), 1, "one run");
     assert_eq!(m.counter("fm.jobs_finished"), 1, "one finish");
     let launches = m.histogram("fm.jm_start_overhead_s").map_or(0, |h| h.count());
     assert_eq!(launches, 1, "exactly one JobMaster launch");
+    // The resubmitting client learns the outcome of the one run.
+    let told = log.lock().unwrap()[&j].done.as_ref().map(|d| d.0);
+    assert_eq!(told, Some(true), "the outcome is sent again");
+    assert_eq!(dups.load(Ordering::Relaxed), 0);
+    assert_eq!(c.job_done(j), Some((true, done_at)), "original client told once");
 }
 
 #[test]
